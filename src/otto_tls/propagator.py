@@ -1,11 +1,18 @@
 """Time-ordered propagation of the unitary strokes.
 
 The stroke propagator solves dU/dt = -2*pi*i * (H(t)/h) * U with U(0) = I.
-Each step applies the exact exponential of the midpoint Hamiltonian
-(exponential-midpoint rule, second order), so every intermediate U is
-unitary to rounding.  The step count is doubled until the adiabaticity
-parameter xi - the only scalar consumed downstream - is self-consistent
-to the configured tolerance.
+Converged strokes use the fourth-order commutator-free Magnus scheme CF4
+(Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske,
+J. Comput. Phys. 230, 5930 (2011)): each step samples H at the Gauss nodes
+t_k + c1,2*dt, c1,2 = 1/2 -+ sqrt(3)/6, and applies
+exp(-2*pi*i*dt*(a2*H1 + a1*H2)) followed by exp(-2*pi*i*dt*(a1*H1 + a2*H2))
+with weights a1,2 = (3 -+ 2*sqrt(3))/12.  Every factor is an exact 2x2
+exponential, so every intermediate U is unitary to rounding.  The step
+count is doubled until the adiabaticity parameter xi - the only scalar
+consumed downstream - is self-consistent to the configured tolerance.
+
+propagate_fixed_steps keeps the second-order exponential-midpoint rule as
+a simple fixed-step reference.
 
 The compression stroke is generated by H_comp(t) = -H_exp(tau - t); its
 time-ordered propagator equals the adjoint of the expansion propagator
@@ -66,6 +73,11 @@ class PropagatorResult:
             raise DomainError(f"xi={self.xi} outside [0, 1/2]")
 
 
+def _check_tau(tau: float) -> None:
+    if not (0.0 < tau < math.inf):
+        raise DomainError(f"tau must be positive and finite, got {tau}")
+
+
 def _propagate(tau: float, freqs: CycleFrequencies, steps: int,
                compression: bool) -> tuple[complex, complex, complex, complex]:
     """Midpoint-exponential integration, unrolled for speed.
@@ -109,6 +121,73 @@ def _propagate(tau: float, freqs: CycleFrequencies, steps: int,
             -phase * v.conjugate(), phase * u.conjugate())
 
 
+_SQRT3 = math.sqrt(3.0)
+_CF4_C1 = 0.5 - _SQRT3 / 6.0
+_CF4_C2 = 0.5 + _SQRT3 / 6.0
+_CF4_A1 = (3.0 - 2.0 * _SQRT3) / 12.0
+_CF4_A2 = (3.0 + 2.0 * _SQRT3) / 12.0
+
+
+def _propagate_cf4(tau: float, freqs: CycleFrequencies, steps: int,
+                   compression: bool) -> tuple[complex, complex, complex, complex]:
+    """Fourth-order commutator-free Magnus (CF4) integration, unrolled.
+
+    With x = t/tau the Hamiltonian is H/h = r*(c + sn)*I + r*(c*sx + sn*sy),
+    r = nu(x)/2, (c, sn) = (cos, sin)(pi*x/2).  Both CF4 factors are
+    weighted sums of H at the two Gauss nodes, so each is again a scalar
+    phase times an SU(2) rotation about an in-plane axis (hx, hy); its
+    angle is the Bloch radius hypot(hx, hy) and costs one sin/cos pair.
+    """
+    s = 2.0 * math.pi * tau / steps
+    if compression:
+        s = -s  # H_comp(t) = -H_exp(tau - t)
+    # Same (u, v) form and separate phase as _propagate; s is folded into
+    # the radii, so (hx, hy) below is already the rotation vector.
+    u = 1.0 + 0j
+    v = 0j
+    total_angle = 0.0
+    dx = 1.0 / steps
+    half_pi = 0.5 * math.pi
+    r_c = 0.5 * s * freqs.nu_c
+    r_d = 0.5 * s * (freqs.nu_h - freqs.nu_c)
+    c1, c2, a1, a2 = _CF4_C1, _CF4_C2, _CF4_A1, _CF4_A2
+    cos, sin, hypot = math.cos, math.sin, math.hypot
+    for k in range(steps):
+        x1 = (k + c1) * dx
+        x2 = (k + c2) * dx
+        if compression:
+            x1 = 1.0 - x1
+            x2 = 1.0 - x2
+        r1 = r_c + r_d * x1
+        r2 = r_c + r_d * x2
+        hx1 = r1 * cos(half_pi * x1)
+        hy1 = r1 * sin(half_pi * x1)
+        hx2 = r2 * cos(half_pi * x2)
+        hy2 = r2 * sin(half_pi * x2)
+        # The scalar parts of the two factors add up to (c0(x1) + c0(x2))/2.
+        total_angle += 0.5 * (hx1 + hy1 + hx2 + hy2)
+        # exp(-i*(hx*sx + hy*sy)) = [[a, b], [-conj(b), a]] with
+        # a = cos(rho), b = -i*sin(rho)/rho*(hx - i*hy), rho = hypot(hx, hy).
+        # rho is 0 only when the step angle underflows (subnormal tau).
+        hx = a2 * hx1 + a1 * hx2
+        hy = a2 * hy1 + a1 * hy2
+        rho = hypot(hx, hy)
+        m = sin(rho) / rho if rho else 0.0
+        a = cos(rho)
+        b = complex(-m * hy, -m * hx)
+        u, v = a * u - b * v.conjugate(), a * v + b * u.conjugate()
+        hx = a1 * hx1 + a2 * hx2
+        hy = a1 * hy1 + a2 * hy2
+        rho = hypot(hx, hy)
+        m = sin(rho) / rho if rho else 0.0
+        a = cos(rho)
+        b = complex(-m * hy, -m * hx)
+        u, v = a * u - b * v.conjugate(), a * v + b * u.conjugate()
+    phase = complex(cos(total_angle), -sin(total_angle))
+    return (phase * u, phase * v,
+            -phase * v.conjugate(), phase * u.conjugate())
+
+
 def _xi_raw(u11: complex, u12: complex, u21: complex, u22: complex) -> float:
     w1 = (u11 * KET_MINUS_X[0] + u12 * KET_MINUS_X[1])
     w2 = (u21 * KET_MINUS_X[0] + u22 * KET_MINUS_X[1])
@@ -135,8 +214,14 @@ def transition_probability(u: Unitary2) -> float:
 
 def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
             compression: bool) -> PropagatorResult:
-    if not (tau > 0.0):
-        raise DomainError(f"tau must be positive, got {tau}")
+    """CF4 integration, doubling the step count until xi settles.
+
+    Starts at cfg.resolve_steps and doubles until |xi_2n - xi_n| is below
+    cfg.xi_tolerance; xi_2n and that difference are returned.  Raises
+    ConvergenceError carrying the last estimate after cfg.max_doublings.
+    """
+    _check_tau(tau)
+
     def xi_of(raw):
         if compression:
             # xi for the compression propagator V is |<+x|V|-y>|^2, the
@@ -147,11 +232,11 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         return _xi_raw(*raw)
 
     n = cfg.resolve_steps(tau, freqs)
-    raw = _propagate(tau, freqs, n, compression)
+    raw = _propagate_cf4(tau, freqs, n, compression)
     xi_prev = xi_of(raw)
     for _ in range(cfg.max_doublings):
         n *= 2
-        raw = _propagate(tau, freqs, n, compression)
+        raw = _propagate_cf4(tau, freqs, n, compression)
         xi = xi_of(raw)
         err = abs(xi - xi_prev)
         if err < cfg.xi_tolerance:
@@ -184,12 +269,24 @@ def integrate_compression(tau: float, freqs: CycleFrequencies,
 
 def propagate_fixed_steps(tau: float, freqs: CycleFrequencies, steps: int,
                           compression: bool = False) -> Unitary2:
-    """Single integration at a fixed step count (no doubling)."""
-    if not (tau > 0.0):
-        raise DomainError(f"tau must be positive, got {tau}")
+    """Single exponential-midpoint integration at a fixed step count.
+
+    The second-order reference: no doubling, and not the CF4 scheme that
+    evolve_expansion and integrate_compression use.
+    """
+    _check_tau(tau)
     if steps < 1:
         raise DomainError("steps must be positive")
     return Unitary2(*_propagate(tau, freqs, steps, compression))
+
+
+def _expansion_or_best(tau: float, freqs: CycleFrequencies,
+                       cfg: IntegratorConfig) -> tuple[PropagatorResult, bool]:
+    """evolve_expansion and True, or its best estimate and False on failure."""
+    try:
+        return evolve_expansion(tau, freqs, cfg), True
+    except ConvergenceError as exc:
+        return exc.best, False
 
 
 @dataclass(frozen=True)
@@ -211,10 +308,6 @@ def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,
     """
     out = []
     for tau in tau_values:
-        try:
-            res = evolve_expansion(tau, freqs, cfg)
-            out.append(XiPoint(tau, res.xi, res.xi_error_estimate, True))
-        except ConvergenceError as exc:
-            best = exc.best
-            out.append(XiPoint(tau, best.xi, best.xi_error_estimate, False))
+        res, converged = _expansion_or_best(tau, freqs, cfg)
+        out.append(XiPoint(tau, res.xi, res.xi_error_estimate, converged))
     return out

@@ -13,8 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import ConvergenceError, DomainError
-from .propagator import IntegratorConfig, evolve_expansion
+from .errors import DomainError
+from .propagator import IntegratorConfig, _expansion_or_best, evolve_expansion
 from .thermo import CycleEnergetics, CycleInputs, _classify, cycle_energetics
 from .tls import CycleFrequencies
 
@@ -95,13 +95,7 @@ def run_tau_sweep(spec: TauSweepSpec,
     """
 
     def point(tau_us: float) -> TauSweepRow:
-        tau_ms = tau_us * 1e-3
-        try:
-            res = evolve_expansion(tau_ms, spec.freqs, spec.cfg)
-            converged = True
-        except ConvergenceError as exc:
-            res = exc.best
-            converged = False
+        res, converged = _expansion_or_best(tau_us * 1e-3, spec.freqs, spec.cfg)
         xi = min(max(res.xi, 0.0), 0.5)
         en = cycle_energetics(CycleInputs(spec.freqs, spec.p_c, spec.p_h, xi))
         return TauSweepRow(tau_us, res.xi, res.xi_error_estimate, converged, en)

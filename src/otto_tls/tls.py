@@ -30,17 +30,18 @@ KET_MINUS_Y = (_S2 + 0j, -1j * _S2)
 
 @dataclass(frozen=True)
 class CycleFrequencies:
-    """Cold and hot endpoint frequencies in kHz, with nu_h > nu_c > 0."""
+    """Cold and hot endpoint frequencies in kHz, finite, with nu_h > nu_c > 0."""
 
     nu_c: float
     nu_h: float
 
     def __post_init__(self):
-        if not (self.nu_c > 0.0):
-            raise DomainError(f"nu_c must be positive, got {self.nu_c}")
-        if not (self.nu_h > self.nu_c):
+        if not (0.0 < self.nu_c < math.inf):
+            raise DomainError(f"nu_c must be positive and finite, got {self.nu_c}")
+        if not (self.nu_c < self.nu_h < math.inf):
             raise DomainError(
-                f"nu_h must exceed nu_c, got nu_c={self.nu_c}, nu_h={self.nu_h}")
+                f"nu_h must be finite and exceed nu_c, got nu_c={self.nu_c}, "
+                f"nu_h={self.nu_h}")
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,19 @@ class TestErrorsAndVerify:
         assert code == 1
         assert "nu_h" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
+         "--tau", "inf"),
+        ("xi", "--nu-c", "2", "--nu-h", "inf", "--points", "3"),
+    ])
+    def test_non_finite_input_one_line_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("otto-tls: ")
+        assert "Traceback" not in err
+
     def test_verify_quick_passes(self):
         code, out, _ = run_cli("verify", "--quick")
         assert code == 0

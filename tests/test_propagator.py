@@ -11,6 +11,8 @@ from otto_tls import (ConvergenceError, CycleFrequencies, DomainError,
                       evolve_expansion, integrate_compression,
                       propagate_fixed_steps, transition_probability, xi_sweep)
 from otto_tls.complex2 import IDENTITY
+from otto_tls.propagator import _propagate_cf4
+from otto_tls.sweep import log_spaced
 from otto_tls.tls import KET_MINUS_X, KET_PLUS_Y
 
 from conftest import random_unitary, stroke_unitary
@@ -122,6 +124,11 @@ class TestLimits:
         assert (res.U - IDENTITY).max_abs() < 1e-4
         assert res.xi == pytest.approx(0.5, abs=1e-6)
 
+    def test_subnormal_tau_is_sudden(self):
+        # The step angle underflows to zero; the stroke is then the identity.
+        res = evolve_expansion(5e-324, FREQS)
+        assert res.xi == pytest.approx(0.5, abs=1e-12)
+
     def test_adiabatic_limit(self):
         assert evolve_expansion(2.0, FREQS).xi < 0.01
 
@@ -182,10 +189,46 @@ class TestConvergence:
         with pytest.raises(DomainError):
             evolve_expansion(-1.0, FREQS)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(DomainError):
+            evolve_expansion(tau, FREQS)
+        with pytest.raises(DomainError):
+            propagate_fixed_steps(tau, FREQS, 8)
+
     def test_default_initial_steps(self):
         cfg = IntegratorConfig()
         assert cfg.resolve_steps(0.001, FREQS) == 64
         assert cfg.resolve_steps(1.0, FREQS) == 144
+
+
+def cf4_xi(tau: float, steps: int, compression: bool = False) -> float:
+    return transition_probability(
+        Unitary2(*_propagate_cf4(tau, FREQS, steps, compression)))
+
+
+class TestCF4Kernel:
+    def test_fourth_order_rate(self):
+        # Halving the step cuts the xi error by ~16x from 16 to 256 steps.
+        tau = 0.3
+        ref = cf4_xi(tau, 1 << 12)
+        errs = [abs(cf4_xi(tau, 1 << p) - ref) for p in range(4, 9)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(16.0, rel=0.25)
+
+    def test_compression_kernel_is_adjoint(self):
+        # CF4 is time-symmetric, so mirroring the stroke at a fixed step
+        # count reproduces the adjoint to rounding, not only to tolerance.
+        for tau in [0.01, 0.3, 1.0]:
+            ue = Unitary2(*_propagate_cf4(tau, FREQS, 37, False))
+            uc = Unitary2(*_propagate_cf4(tau, FREQS, 37, True))
+            assert (uc - ue.adjoint()).max_abs() < 1e-13
+
+    def test_converged_step_budget(self):
+        # The midpoint rule needs 2,209,792 final steps on this grid; a
+        # regression to it, or to a lower order, fails here.
+        taus = log_spaced(0.01, 1.0, 100)
+        assert sum(evolve_expansion(t, FREQS).steps_used for t in taus) <= 20000
 
 
 class TestUnitarity:

@@ -28,6 +28,12 @@ class TestFrequencies:
         with pytest.raises(DomainError):
             CycleFrequencies(-1.0, 2.0)
 
+    @pytest.mark.parametrize("nu_c, nu_h", [
+        (math.inf, math.inf), (2.0, math.inf), (math.nan, 3.6), (2.0, math.nan)])
+    def test_non_finite_rejected(self, nu_c, nu_h):
+        with pytest.raises(DomainError):
+            CycleFrequencies(nu_c, nu_h)
+
     def test_stroke_duration_positive(self):
         with pytest.raises(DomainError):
             StrokeDuration(0.0)
