@@ -154,10 +154,11 @@ def hamiltonian_compression(t: float, tau: float,
 def gibbs_state(p: float, axis: str) -> Density2:
     """Thermal state diagonal in the given axis basis.
 
-    rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis.
+    rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis;
+    p = 0 and p = 1 give the pure ground and excited states.
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"population must lie in (0, 1), got {p}")
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"population must lie in [0, 1], got {p}")
     proj = projector_excited(axis)
     # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
     w = 2.0 * p - 1.0

@@ -82,6 +82,26 @@ class TestCycle:
                       if " = " in line)
         assert float(values["xi"]) == pytest.approx(0.0149863, abs=1e-5)
 
+    def test_engine_edge_where_q_h_nearly_vanishes(self):
+        # q_h is 4e-16 here, so -w_net/q_h and the population form of eta
+        # differ by about 4%; the cycle is still reported.
+        code, out, err = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--pc", "0.5658384796150766",
+                                 "--ph", "0.5100447308006065",
+                                 "--xi", "0.42371686846861634")
+        assert code == 0
+        assert "mode = engine" in out.splitlines()
+        assert "Traceback" not in err
+
+    def test_zero_temperature_exponents(self):
+        # |u| = 800 puts the populations at exactly 0 and 1.
+        code, out, _ = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                               "--uc", "800", "--uh", "-800", "--xi", "0.25")
+        assert code == 0
+        lines = out.splitlines()
+        for expected in ("p_c = 0", "p_h = 1", "eta = 0.444444444444"):
+            assert expected in lines
+
 
 class TestTauSweep:
     def test_schema_and_modes(self):
@@ -104,6 +124,14 @@ class TestTauSweep:
         assert out == ""
         text = path.read_text()
         assert text.startswith(UNITS_LINE)
+
+    def test_zero_temperature_exponents(self):
+        code, out, _ = run_cli("tau-sweep", "--nu-c", "2", "--nu-h", "3.6",
+                               "--uc", "800", "--uh", "-800", "--points", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
+        assert all(r["converged"] == "1" for r in rows)
 
 
 class TestPhaseMap:

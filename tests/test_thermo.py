@@ -60,10 +60,22 @@ class TestClosedForms:
         assert en.eta == pytest.approx(1.0 - 2.0 / 3.6, abs=1e-12)
 
     def test_input_validation(self):
-        with pytest.raises(DomainError):
-            CycleInputs(FREQS, 0.0, 0.5, 0.1)
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                CycleInputs(FREQS, bad, 0.5, 0.1)
+            with pytest.raises(DomainError):
+                CycleInputs(FREQS, 0.3, bad, 0.1)
         with pytest.raises(DomainError):
             CycleInputs(FREQS, 0.3, 0.5, 0.6)
+
+    def test_pure_reservoirs_on_the_enhancement_boundary(self):
+        # (p_c, p_h) = (0, 1) lies on p_h = 1 - p_c, where the finite-time
+        # efficiency equals the quasi-static one at every xi.
+        eta_ad = adiabatic_efficiency(FREQS)
+        for k in range(51):
+            en = cycle_energetics(CycleInputs(FREQS, 0.0, 1.0, 0.5 * k / 50))
+            assert en.is_engine
+            assert abs(en.eta - eta_ad) <= 1e-12
 
     @given(populations, populations, xis)
     @settings(max_examples=500, deadline=None)
@@ -138,6 +150,21 @@ class TestOracleEquivalence:
                          (en_tr.q_c, en_cf.q_c), (en_tr.q_h, en_cf.q_h)]:
                 assert abs(a - b) <= 1e-10
             assert en_tr.mode == en_cf.mode
+
+    def test_pure_reservoirs_certify_closed_forms(self):
+        rng = random.Random(43)
+        edges = (0.0, 0.5, 1.0)
+        pairs = [(p_c, p_h) for p_c in edges for p_h in edges]
+        for _ in range(300):
+            u = random_stroke_unitary(rng)
+            xi = transition_probability(u)
+            for p_c, p_h in pairs:
+                en_tr = energetics_from_states(p_c, p_h, u, FREQS)
+                en_cf = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
+                for a, b in [(en_tr.w_exp, en_cf.w_exp),
+                             (en_tr.w_comp, en_cf.w_comp),
+                             (en_tr.q_c, en_cf.q_c), (en_tr.q_h, en_cf.q_h)]:
+                    assert abs(a - b) <= 1e-10
 
 
 class TestRelativeEntropy:
