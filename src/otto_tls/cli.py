@@ -44,7 +44,7 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, float):
-        return f"{x:.12g}"
+        return f"{x + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
     return str(x)
 
 
@@ -100,7 +100,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xi-tol", type=float, default=1e-9,
                    help="step-doubling tolerance on xi (default 1e-9)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for sweeps (default: cpu count)")
+                   help="worker threads for phase-map (default: cpu count); "
+                        "other subcommands run serially")
     p.add_argument("-o", "--output", default=None,
                    help="output file ('-' or omitted: stdout)")
 
@@ -208,7 +209,7 @@ def _cmd_tau_sweep(args) -> int:
     spec = TauSweepSpec(freqs, p_c, p_h, args.tau_min, args.tau_max,
                         args.points, IntegratorConfig(xi_tolerance=args.xi_tol),
                         log_spacing=not args.linear)
-    rows = run_tau_sweep(spec, threads=args.threads)
+    rows = run_tau_sweep(spec)
     with _output(args.output) as fh:
         _emit(fh, ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c",
                    "eta", "mode", "converged"],

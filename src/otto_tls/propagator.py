@@ -3,13 +3,19 @@
 The stroke propagator solves dU/dt = -2*pi*i * (H(t)/h) * U with U(0) = I.
 Converged strokes use the fourth-order commutator-free Magnus scheme CF4
 (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske,
-J. Comput. Phys. 230, 5930 (2011)): each step samples H at the Gauss nodes
-t_k + c1,2*dt, c1,2 = 1/2 -+ sqrt(3)/6, and applies
-exp(-2*pi*i*dt*(a2*H1 + a1*H2)) followed by exp(-2*pi*i*dt*(a1*H1 + a2*H2))
-with weights a1,2 = (3 -+ 2*sqrt(3))/12.  Every factor is an exact 2x2
-exponential, so every intermediate U is unitary to rounding.  The step
-count is doubled until the adiabaticity parameter xi - the only scalar
-consumed downstream - is self-consistent to the configured tolerance.
+J. Comput. Phys. 230, 5930 (2011)) in the frame co-rotating with the drive
+axis, where the stroke becomes a finite-duration Landau-Zener problem
+(Vitanov & Garraway, Phys. Rev. A 53, 4288 (1996)): U = exp(-i*Phi) *
+Rz(phi) * W with phi = pi*t/(2*tau), the scalar phase Phi integrated
+exactly, and W driven by r(t)*sx - sz/(8*tau), r = nu(t)/2.  Each CF4 step
+samples that generator at the Gauss nodes t_k + c1,2*dt,
+c1,2 = 1/2 -+ sqrt(3)/6, and applies exp(-2*pi*i*dt*(a2*H1 + a1*H2))
+followed by exp(-2*pi*i*dt*(a1*H1 + a2*H2)) with weights
+a1,2 = (3 -+ 2*sqrt(3))/12.  Every factor is an exact 2x2 exponential, so
+every intermediate U is unitary to rounding, and the constant sz part keeps
+every rotation angle away from 0.  The step count is doubled until the
+adiabaticity parameter xi - the only scalar consumed downstream - is
+self-consistent to the configured tolerance.
 
 propagate_fixed_steps keeps the second-order exponential-midpoint rule as
 a simple fixed-step reference.
@@ -38,7 +44,10 @@ _XI_FORM_TOL = 1e-10
 class IntegratorConfig:
     """Step-doubling control for the stroke integrator.
 
-    initial_steps of None selects max(64, ceil(40 * nu_h * tau)) at run time.
+    initial_steps of None selects max(16, ceil(16 * nu_h * tau)) at run
+    time, a start sized for CF4: 16 steps per Larmor period 1/nu_h, and
+    never fewer than 16.  Doubling then stops once |xi_2n - xi_n| is below
+    xi_tolerance.
     """
 
     initial_steps: Optional[int] = None
@@ -56,7 +65,7 @@ class IntegratorConfig:
     def resolve_steps(self, tau: float, freqs: CycleFrequencies) -> int:
         if self.initial_steps is not None:
             return self.initial_steps
-        return max(64, math.ceil(40.0 * freqs.nu_h * tau))
+        return max(16, math.ceil(16.0 * freqs.nu_h * tau))
 
 
 @dataclass(frozen=True)
@@ -126,64 +135,79 @@ _CF4_C1 = 0.5 - _SQRT3 / 6.0
 _CF4_C2 = 0.5 + _SQRT3 / 6.0
 _CF4_A1 = (3.0 - 2.0 * _SQRT3) / 12.0
 _CF4_A2 = (3.0 + 2.0 * _SQRT3) / 12.0
+_EIGHTH_TURN = complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi))
 
 
 def _propagate_cf4(tau: float, freqs: CycleFrequencies, steps: int,
                    compression: bool) -> tuple[complex, complex, complex, complex]:
     """Fourth-order commutator-free Magnus (CF4) integration, unrolled.
 
-    With x = t/tau the Hamiltonian is H/h = r*(c + sn)*I + r*(c*sx + sn*sy),
-    r = nu(x)/2, (c, sn) = (cos, sin)(pi*x/2).  Both CF4 factors are
-    weighted sums of H at the two Gauss nodes, so each is again a scalar
-    phase times an SU(2) rotation about an in-plane axis (hx, hy); its
-    angle is the Bloch radius hypot(hx, hy) and costs one sin/cos pair.
+    Integrated in the frame co-rotating with the drive axis, where the
+    stroke is a finite-duration Landau-Zener problem (Vitanov & Garraway,
+    Phys. Rev. A 53, 4288 (1996)).  With Rz(phi) = exp(-i*phi*sz/2),
+    phi = pi*t/(2*tau) and Phi(t) = 2*pi*int r*(cos + sin)(phi) dt,
+    U = exp(-i*Phi) * Rz(phi) * W and
+
+        dW/dt = -2*pi*i * (r(t)*sx - sz/(8*tau)) * W,   r = nu(t)/2.
+
+    Each CF4 factor is exp(-i*(hx*sx + hz*sz)) with hx linear in the step
+    index and hz = -+pi/(8*steps) constant, so a factor costs one sqrt,
+    sin and cos, and a step no trigonometry of the drive axis.  hz is
+    never 0, so the rotation angle never is either: a subnormal tau gives
+    W = Rz(pi/2)^dagger and U = I without a guard.  The scalar phase is
+    the exact integral Phi(tau) = 2*tau*(nu_c + nu_h).  The compression
+    stroke is the same W problem mirrored in time with the generator's sign
+    flipped, and transforms back as U = exp(+i*Phi) * W * Rz(pi/2)^dagger.
     """
-    s = 2.0 * math.pi * tau / steps
-    if compression:
-        s = -s  # H_comp(t) = -H_exp(tau - t)
-    # Same (u, v) form and separate phase as _propagate; s is folded into
-    # the radii, so (hx, hy) below is already the rotation vector.
-    u = 1.0 + 0j
-    v = 0j
-    total_angle = 0.0
-    dx = 1.0 / steps
-    half_pi = 0.5 * math.pi
+    n = steps
+    s = 2.0 * math.pi * tau / n
+    hz = -0.125 * math.pi / n
+    # s is folded into the radii r(x) = r_c + r_d*x, so hx below is already
+    # the rotation angle about x.
     r_c = 0.5 * s * freqs.nu_c
     r_d = 0.5 * s * (freqs.nu_h - freqs.nu_c)
-    c1, c2, a1, a2 = _CF4_C1, _CF4_C2, _CF4_A1, _CF4_A2
-    cos, sin, hypot = math.cos, math.sin, math.hypot
-    for k in range(steps):
-        x1 = (k + c1) * dx
-        x2 = (k + c2) * dx
-        if compression:
-            x1 = 1.0 - x1
-            x2 = 1.0 - x2
-        r1 = r_c + r_d * x1
-        r2 = r_c + r_d * x2
-        hx1 = r1 * cos(half_pi * x1)
-        hy1 = r1 * sin(half_pi * x1)
-        hx2 = r2 * cos(half_pi * x2)
-        hy2 = r2 * sin(half_pi * x2)
-        # The scalar parts of the two factors add up to (c0(x1) + c0(x2))/2.
-        total_angle += 0.5 * (hx1 + hy1 + hx2 + hy2)
-        # exp(-i*(hx*sx + hy*sy)) = [[a, b], [-conj(b), a]] with
-        # a = cos(rho), b = -i*sin(rho)/rho*(hx - i*hy), rho = hypot(hx, hy).
-        # rho is 0 only when the step angle underflows (subnormal tau).
-        hx = a2 * hx1 + a1 * hx2
-        hy = a2 * hy1 + a1 * hy2
-        rho = hypot(hx, hy)
-        m = sin(rho) / rho if rho else 0.0
-        a = cos(rho)
-        b = complex(-m * hy, -m * hx)
-        u, v = a * u - b * v.conjugate(), a * v + b * u.conjugate()
-        hx = a1 * hx1 + a2 * hx2
-        hy = a1 * hy1 + a2 * hy2
-        rho = hypot(hx, hy)
-        m = sin(rho) / rho if rho else 0.0
-        a = cos(rho)
-        b = complex(-m * hy, -m * hx)
-        u, v = a * u - b * v.conjugate(), a * v + b * u.conjugate()
-    phase = complex(cos(total_angle), -sin(total_angle))
+    if compression:
+        # H_comp(t) = -H_exp(tau - t): flip the signs and mirror r(x) to
+        # r(1 - x) = (r_c + r_d) - r_d*x.
+        r_c, r_d, hz = -(r_c + r_d), r_d, -hz
+    # With x_j = (k + c_j)/n the two factors take hx = a2*r(x1) + a1*r(x2)
+    # and a1*r(x1) + a2*r(x2): r_c/2 + r_d*(k/2 + a2*c1 + a1*c2)/n and the
+    # same with the weights swapped.
+    a1, a2, c1, c2 = _CF4_A1, _CF4_A2, _CF4_C1, _CF4_C2
+    slope = 0.5 * r_d / n
+    hx1 = 0.5 * r_c + r_d * (a2 * c1 + a1 * c2) / n
+    hx2 = 0.5 * r_c + r_d * (a1 * c1 + a2 * c2) / n
+    hz2 = hz * hz
+    # Same (u, v) form as _propagate, [[u, v], [-conj(v), conj(u)]], with u
+    # and v split into real and imaginary parts: real arithmetic avoids a
+    # complex object per operation.  A factor exp(-i*(hx*sx + hz*sz)) is
+    # [[c - i*d, -i*e], [-i*e, c + i*d]] with c = cos(rho), (d, e) =
+    # sin(rho)/rho * (hz, hx), rho = sqrt(hx^2 + hz^2) > 0.
+    ur, ui, vr, vi = 1.0, 0.0, 0.0, 0.0
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    for k in range(n):
+        hx = hx1 + slope * k
+        rho = sqrt(hx * hx + hz2)
+        m = sin(rho) / rho
+        c, d, e = cos(rho), m * hz, m * hx
+        ur, ui, vr, vi = (c * ur + d * ui + e * vi, c * ui - d * ur + e * vr,
+                          c * vr + d * vi - e * ui, c * vi - d * vr - e * ur)
+        hx = hx2 + slope * k
+        rho = sqrt(hx * hx + hz2)
+        m = sin(rho) / rho
+        c, d, e = cos(rho), m * hz, m * hx
+        ur, ui, vr, vi = (c * ur + d * ui + e * vi, c * ui - d * ur + e * vr,
+                          c * vr + d * vi - e * ui, c * vi - d * vr - e * ur)
+    u, v = complex(ur, ui), complex(vr, vi)
+    angle = 2.0 * tau * (freqs.nu_c + freqs.nu_h)
+    if compression:
+        # exp(+i*Phi) * W * Rz(pi/2)^dagger
+        phase = complex(cos(angle), sin(angle))
+        u, v = u * _EIGHTH_TURN, v * _EIGHTH_TURN.conjugate()
+    else:
+        # exp(-i*Phi) * Rz(pi/2) * W
+        phase = complex(cos(angle), -sin(angle))
+        u, v = u * _EIGHTH_TURN.conjugate(), v * _EIGHTH_TURN.conjugate()
     return (phase * u, phase * v,
             -phase * v.conjugate(), phase * u.conjugate())
 

@@ -1,15 +1,17 @@
 """Parameter sweeps: xi(tau) curves, cycle tau-sweeps, and the friction map.
 
-Sweep points are independent pure computations; they may be evaluated by a
-worker pool, and results are always assembled in input order so the output
-is bitwise deterministic regardless of parallelism.
+Sweep points are independent pure computations, evaluated in input order.
+Only the phase map may run its cells on a thread pool (threads); it
+assembles them in input order, so its output is bitwise deterministic
+whatever the thread count.  xi_sweep and run_tau_sweep loop serially: their
+per-point work is pure Python that holds the interpreter lock, and a pool
+measured slower.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,6 +48,8 @@ def _map_ordered(fn, items, threads: Optional[int]):
         threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # Imported here so that serial runs skip the import cost.
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -85,21 +89,20 @@ class TauSweepRow:
     energetics: CycleEnergetics
 
 
-def run_tau_sweep(spec: TauSweepSpec,
-                  threads: Optional[int] = None) -> list[TauSweepRow]:
+def run_tau_sweep(spec: TauSweepSpec) -> list[TauSweepRow]:
     """Propagate each stroke duration and evaluate the cycle energetics.
 
     Convergence failures are flagged per row (the best available xi is still
     used) and never abort the sweep.
     """
-
-    def point(tau_us: float) -> TauSweepRow:
+    rows = []
+    for tau_us in spec.tau_grid_us():
         res, converged = _expansion_or_best(tau_us * 1e-3, spec.freqs, spec.cfg)
         xi = min(max(res.xi, 0.0), 0.5)
         en = cycle_energetics(CycleInputs(spec.freqs, spec.p_c, spec.p_h, xi))
-        return TauSweepRow(tau_us, res.xi, res.xi_error_estimate, converged, en)
-
-    return _map_ordered(point, spec.tau_grid_us(), threads)
+        rows.append(TauSweepRow(tau_us, res.xi, res.xi_error_estimate,
+                                converged, en))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,8 @@ class PhaseMapSpec:
                 raise DomainError(f"{name} grid must have at least 2 points")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise DomainError(f"{name} grid must be strictly increasing")
-            if grid[0] <= 0.0 or grid[-1] > hi:
-                raise DomainError(f"{name} grid must lie in (0, {hi}]")
+            if grid[0] < 0.0 or grid[-1] > hi:
+                raise DomainError(f"{name} grid must lie in [0, {hi}]")
         if not (0.0 <= self.xi <= 0.5):
             raise DomainError("xi must lie in [0, 1/2]")
 
@@ -175,7 +178,7 @@ def run_phase_map(spec: PhaseMapSpec,
         sign_expr = nu_h * (1.0 - 2.0 * pc) + nu_c * (1.0 - 2.0 * ph)
         w_fric = xi * sign_expr
         w_net = -(nu_h - nu_c) * (ph - pc) + w_fric
-        q_h = nu_h * (ph - pc) - nu_h * xi * (1.0 - 2.0 * pc)
+        q_h = nu_h * ((ph - pc) - xi * (1.0 - 2.0 * pc))
         return PhaseMapRow(ph, pc, w_fric, _classify(w_net, q_h),
                            abs(sign_expr) < line_tol)
 

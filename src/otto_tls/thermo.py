@@ -116,8 +116,11 @@ def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
 
     w_exp = dnu * p_c + nu_h * xi * (1.0 - 2.0 * p_c)
     w_comp = -dnu * p_h + nu_c * xi * (1.0 - 2.0 * p_h)
-    q_c = -nu_c * (p_h - p_c) - nu_c * xi * (1.0 - 2.0 * p_h)
-    q_h = nu_h * (p_h - p_c) - nu_h * xi * (1.0 - 2.0 * p_c)
+    # The heats factor out nu_c and nu_h so the population difference
+    # cancels before the scaling, as in efficiency_closed_form: near the
+    # q_h = 0 edge, two rounded products lost every digit of q_h.
+    q_c = -nu_c * ((p_h - p_c) + xi * (1.0 - 2.0 * p_h))
+    q_h = nu_h * ((p_h - p_c) - xi * (1.0 - 2.0 * p_c))
     w_net = w_exp + w_comp
     w_ad = -dnu * (p_h - p_c)
     w_fric = xi * (nu_h * (1.0 - 2.0 * p_c) + nu_c * (1.0 - 2.0 * p_h))

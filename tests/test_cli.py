@@ -102,6 +102,15 @@ class TestCycle:
         for expected in ("p_c = 0", "p_h = 1", "eta = 0.444444444444"):
             assert expected in lines
 
+    def test_no_negative_zero(self):
+        # At p_c = p_h and xi = 0, q_c and w_ad are IEEE -0.0.
+        code, out, _ = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                               "--pc", "0.3", "--ph", "0.3", "--xi", "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert "q_c = 0" in lines and "w_ad = 0" in lines
+        assert not any(line.endswith("= -0") for line in lines)
+
 
 class TestTauSweep:
     def test_schema_and_modes(self):
@@ -133,6 +142,15 @@ class TestTauSweep:
         assert len(rows) == 3
         assert all(r["converged"] == "1" for r in rows)
 
+    def test_no_negative_zero(self):
+        code, out, _ = run_cli("tau-sweep", "--nu-c", "2", "--nu-h", "3.6",
+                               "--pc", "0.5", "--ph", "0.5", "--points", "3",
+                               "--xi-tol", "1e-8")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["w_ad"], r["q_c"]) for r in rows] == [("0", "0")] * 3
+        assert "-0," not in out
+
 
 class TestPhaseMap:
     def test_grid_and_zero_line_series(self):
@@ -149,6 +167,14 @@ class TestPhaseMap:
         for r in grid:
             if float(r["p_h"]) <= 0.5:
                 assert float(r["w_fric"]) >= 0
+
+    def test_grid_may_start_at_zero(self):
+        code, out, err = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--pc-min", "0", "--ph-min", "0",
+                                 "--ph-points", "3", "--pc-points", "3")
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert rows[0]["p_c"] == "0" and rows[0]["p_h"] == "0"
 
 
 class TestWindows:

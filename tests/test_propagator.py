@@ -198,8 +198,8 @@ class TestConvergence:
 
     def test_default_initial_steps(self):
         cfg = IntegratorConfig()
-        assert cfg.resolve_steps(0.001, FREQS) == 64
-        assert cfg.resolve_steps(1.0, FREQS) == 144
+        assert cfg.resolve_steps(0.001, FREQS) == 16
+        assert cfg.resolve_steps(1.0, FREQS) == 58
 
 
 def cf4_xi(tau: float, steps: int, compression: bool = False) -> float:
@@ -225,10 +225,10 @@ class TestCF4Kernel:
             assert (uc - ue.adjoint()).max_abs() < 1e-13
 
     def test_converged_step_budget(self):
-        # The midpoint rule needs 2,209,792 final steps on this grid; a
-        # regression to it, or to a lower order, fails here.
+        # The midpoint rule needs 2,209,792 final steps on this grid and the
+        # lab-frame CF4 kernel 17,538; a regression to either fails here.
         taus = log_spaced(0.01, 1.0, 100)
-        assert sum(evolve_expansion(t, FREQS).steps_used for t in taus) <= 20000
+        assert sum(evolve_expansion(t, FREQS).steps_used for t in taus) <= 8000
 
 
 class TestUnitarity:
@@ -238,6 +238,26 @@ class TestUnitarity:
         for steps in [3, 17, 101]:
             u = propagate_fixed_steps(0.7, FREQS, steps)
             assert ((u.adjoint() @ u) - IDENTITY).max_abs() < 1e-12
+
+
+def richardson_midpoint(tau: float, steps: int) -> list[complex]:
+    """(4*U_2n - U_n)/3 from the second-order midpoint rule, entrywise."""
+    coarse = propagate_fixed_steps(tau, FREQS, steps)
+    fine = propagate_fixed_steps(tau, FREQS, 2 * steps)
+    return [(4.0 * f - c) / 3.0 for f, c in zip(
+        (fine.a11, fine.a12, fine.a21, fine.a22),
+        (coarse.a11, coarse.a12, coarse.a21, coarse.a22))]
+
+
+class TestFullUnitaryOracle:
+    @pytest.mark.parametrize("tau", [0.01, 0.3, 1.0])
+    def test_strokes_match_midpoint_richardson(self, tau):
+        # Entrywise, so the global phase that xi never sees is checked too.
+        ref = richardson_midpoint(tau, 1 << 14)
+        for u in (evolve_expansion(tau, FREQS).U,
+                  integrate_compression(tau, FREQS).U.adjoint()):
+            got = (u.a11, u.a12, u.a21, u.a22)
+            assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-9
 
 
 class TestAdjointIdentity:

@@ -104,6 +104,19 @@ class TestClosedForms:
                         (abs(en.w_exp) + abs(en.w_comp)) / abs(en.q_h))
             assert abs(eta_ratio - eta_pop) <= 1e-12 * scale
 
+    def test_efficiency_consistency_at_the_hot_heat_edge(self):
+        # p_h one ulp below 1/2 with xi = 1/2 puts q_h a few ulps from zero;
+        # -w_net/q_h must still agree with the population form there.
+        for p_c in (0.25, 0.75):
+            inputs = CycleInputs(FREQS, p_c, 0.49999999999999994, 0.5)
+            en = cycle_energetics(inputs)
+            den = (inputs.p_h - p_c) - 0.5 * (1.0 - 2.0 * p_c)
+            assert en.q_h == pytest.approx(FREQS.nu_h * den, rel=1e-15)
+            eta_ratio = -en.w_net / en.q_h
+            scale = (abs(en.w_exp) + abs(en.w_comp)) / abs(en.q_h)
+            assert abs(eta_ratio - efficiency_closed_form(inputs)) \
+                <= 1e-12 * scale
+
     @given(st.floats(min_value=0.01, max_value=0.49),
            st.floats(min_value=0.01, max_value=0.49), xis)
     @settings(max_examples=300, deadline=None)
