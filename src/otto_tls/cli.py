@@ -10,17 +10,19 @@ Subcommands:
 
 Times are accepted and printed in microseconds, energies in h*kHz.  CSV
 output starts with a '#' comment line naming the units and is byte-stable
-for identical inputs.  Exit codes: 0 success, 1 verification or convergence
-failure, 2 argument errors.
+for identical inputs; a field holding a comma or a double quote is quoted
+as in RFC 4180.  Exit codes: 0 success; 1 a domain error, a verification
+or convergence failure, or stdout closed early (a broken pipe); 2 argument
+errors and an output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import random
+import os
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .complex2 import Hermitian2, exp_neg_i_h
@@ -45,7 +47,10 @@ def _fmt(x) -> str:
         return "1" if x else "0"
     if isinstance(x, float):
         return f"{x + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0
-    return str(x)
+    s = str(x)
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
+        return '"' + s.replace('"', '""') + '"'  # RFC 4180 quoting
+    return s
 
 
 def _emit(stream, header: Sequence[str], rows) -> None:
@@ -56,12 +61,16 @@ def _emit(stream, header: Sequence[str], rows) -> None:
 
 
 @contextlib.contextmanager
-def _output(path: Optional[str]):
+def _output(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+    except OSError as exc:
+        # An unwritable --output is an argument error: main exits 2.
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _add_freq_args(p: argparse.ArgumentParser) -> None:
@@ -272,6 +281,8 @@ def _random_unitary(rng: random.Random):
 
 
 def _cmd_verify(args) -> int:
+    import random  # only verify draws random inputs
+
     freqs = CycleFrequencies(2.0, 3.6)
     rng = random.Random(20240817)
     n_sample = 50 if args.quick else 300
@@ -349,14 +360,23 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Recipe from the Python docs (the
+        # signal module's note on SIGPIPE): point stdout at devnull, so that
+        # the interpreter's final flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except OttoError as exc:
         print(f"otto-tls: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 Everything in the cycle lives in dimension two, so eigendecompositions and
 unitary exponentials are done in closed form rather than through a general
-linear-algebra library.  The three constrained roles (Hermitian, unitary,
-density matrix) validate their structure on construction.
+linear-algebra library.  A matrix is an immutable named tuple of its four
+entries; the three constrained roles (Hermitian, unitary, density matrix)
+validate their structure on construction.
 
 Conventions: a Hermitian matrix is split as H = c*I + v.sigma with
 c = tr(H)/2 and v the Bloch components; the exponential uses
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConstraintViolation
 
@@ -29,17 +30,21 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """A dense 2x2 complex matrix."""
+class Matrix2(namedtuple("Matrix2", "a11 a12 a21 a22")):
+    """A dense 2x2 complex matrix, stored row-major.
 
-    a11: complex
-    a12: complex
-    a21: complex
-    a22: complex
+    Construction runs _check, which each constrained role extends.
+    """
 
-    def __post_init__(self):
-        for z in (self.a11, self.a12, self.a21, self.a22):
+    __slots__ = ()
+
+    def __new__(cls, a11: complex, a12: complex, a21: complex, a22: complex):
+        self = tuple.__new__(cls, (a11, a12, a21, a22))
+        self._check()
+        return self
+
+    def _check(self) -> None:
+        for z in self:
             if not _finite(complex(z)):
                 raise ConstraintViolation("matrix entries must be finite")
 
@@ -92,8 +97,10 @@ IDENTITY = Matrix2(1.0, 0.0, 0.0, 1.0)
 class Hermitian2(Matrix2):
     """Matrix2 constrained to be Hermitian within HERMITIAN_TOL."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def _check(self) -> None:
+        super()._check()
         scale = max(1.0, self.max_abs())
         if abs(self.a21 - complex(self.a12).conjugate()) > HERMITIAN_TOL * scale:
             raise ConstraintViolation("off-diagonal entries are not conjugate")
@@ -105,8 +112,10 @@ class Hermitian2(Matrix2):
 class Unitary2(Matrix2):
     """Matrix2 constrained to satisfy U^dag U = I within UNITARY_TOL."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def _check(self) -> None:
+        super()._check()
         dev = (self.adjoint() @ self) - IDENTITY
         if dev.max_abs() > UNITARY_TOL:
             raise ConstraintViolation("matrix is not unitary")
@@ -115,8 +124,10 @@ class Unitary2(Matrix2):
 class Density2(Matrix2):
     """Matrix2 constrained to be a valid density matrix."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def _check(self) -> None:
+        super()._check()
         scale = max(1.0, self.max_abs())
         if abs(self.a21 - complex(self.a12).conjugate()) > HERMITIAN_TOL * scale:
             raise ConstraintViolation("density matrix is not Hermitian")

@@ -29,8 +29,8 @@ which integrate_compression lets tests confirm by direct integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .complex2 import Unitary2
 from .errors import ConvergenceError, DomainError, UnitarityError
@@ -40,8 +40,8 @@ XI_MAX_SLACK = 1e-9
 _XI_FORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(namedtuple("IntegratorConfig",
+                                  "initial_steps xi_tolerance max_doublings")):
     """Step-doubling control for the stroke integrator.
 
     initial_steps of None selects max(16, ceil(16 * nu_h * tau)) at run
@@ -50,17 +50,17 @@ class IntegratorConfig:
     xi_tolerance.
     """
 
-    initial_steps: Optional[int] = None
-    xi_tolerance: float = 1e-9
-    max_doublings: int = 20
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.initial_steps is not None and self.initial_steps < 2:
+    def __new__(cls, initial_steps: int | None = None,
+                xi_tolerance: float = 1e-9, max_doublings: int = 20):
+        if initial_steps is not None and initial_steps < 2:
             raise DomainError("initial_steps must be at least 2")
-        if not (0.0 < self.xi_tolerance < 1e-2):
+        if not (0.0 < xi_tolerance < 1e-2):
             raise DomainError("xi_tolerance must lie in (0, 1e-2)")
-        if self.max_doublings < 1:
+        if max_doublings < 1:
             raise DomainError("max_doublings must be positive")
+        return tuple.__new__(cls, (initial_steps, xi_tolerance, max_doublings))
 
     def resolve_steps(self, tau: float, freqs: CycleFrequencies) -> int:
         if self.initial_steps is not None:
@@ -68,18 +68,17 @@ class IntegratorConfig:
         return max(16, math.ceil(16.0 * freqs.nu_h * tau))
 
 
-@dataclass(frozen=True)
-class PropagatorResult:
+class PropagatorResult(namedtuple("PropagatorResult",
+                                  "U steps_used xi_error_estimate xi")):
     """Converged stroke propagator with its convergence diagnostics."""
 
-    U: Unitary2
-    steps_used: int
-    xi_error_estimate: float
-    xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (-XI_MAX_SLACK <= self.xi <= 0.5 + XI_MAX_SLACK):
-            raise DomainError(f"xi={self.xi} outside [0, 1/2]")
+    def __new__(cls, U: Unitary2, steps_used: int, xi_error_estimate: float,
+                xi: float):
+        if not (-XI_MAX_SLACK <= xi <= 0.5 + XI_MAX_SLACK):
+            raise DomainError(f"xi={xi} outside [0, 1/2]")
+        return tuple.__new__(cls, (U, steps_used, xi_error_estimate, xi))
 
 
 def _check_tau(tau: float) -> None:
@@ -313,14 +312,10 @@ def _expansion_or_best(tau: float, freqs: CycleFrequencies,
         return exc.best, False
 
 
-@dataclass(frozen=True)
-class XiPoint:
+class XiPoint(namedtuple("XiPoint", "tau xi error_estimate converged")):
     """One sweep sample; converged is False when doubling ran out."""
 
-    tau: float
-    xi: float
-    error_estimate: float
-    converged: bool
+    __slots__ = ()
 
 
 def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DomainError
 from .propagator import IntegratorConfig, _expansion_or_best, evolve_expansion
@@ -25,8 +25,15 @@ DEFAULT_TAU_MAX_US = 1000.0
 DEFAULT_TAU_POINTS = 100
 
 
+def _check_finite_bounds(lo: float, hi: float) -> None:
+    for x in (lo, hi):
+        if not math.isfinite(x):
+            raise DomainError(f"grid bounds must be finite, got {x}")
+
+
 def log_spaced(lo: float, hi: float, points: int) -> list[float]:
     """Strictly increasing log-spaced grid including both endpoints."""
+    _check_finite_bounds(lo, hi)
     if not (0.0 < lo < hi):
         raise DomainError(f"need 0 < lo < hi, got {lo}, {hi}")
     if points < 2:
@@ -36,6 +43,7 @@ def log_spaced(lo: float, hi: float, points: int) -> list[float]:
 
 
 def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
+    _check_finite_bounds(lo, hi)
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
     if points < 2:
@@ -43,7 +51,7 @@ def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def _map_ordered(fn, items, threads: Optional[int]):
+def _map_ordered(fn, items, threads: int | None):
     if threads is None:
         threads = os.cpu_count() or 1
     if threads <= 1 or len(items) <= 1:
@@ -54,25 +62,25 @@ def _map_ordered(fn, items, threads: Optional[int]):
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
-class TauSweepSpec:
+class TauSweepSpec(namedtuple("TauSweepSpec", (
+        "freqs p_c p_h tau_min_us tau_max_us points cfg log_spacing"))):
     """Cycle sweep over stroke durations (tau bounds in microseconds)."""
 
-    freqs: CycleFrequencies
-    p_c: float
-    p_h: float
-    tau_min_us: float = DEFAULT_TAU_MIN_US
-    tau_max_us: float = DEFAULT_TAU_MAX_US
-    points: int = DEFAULT_TAU_POINTS
-    cfg: IntegratorConfig = field(default_factory=IntegratorConfig)
-    log_spacing: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.tau_min_us < self.tau_max_us):
+    def __new__(cls, freqs: CycleFrequencies, p_c: float, p_h: float,
+                tau_min_us: float = DEFAULT_TAU_MIN_US,
+                tau_max_us: float = DEFAULT_TAU_MAX_US,
+                points: int = DEFAULT_TAU_POINTS,
+                cfg: IntegratorConfig = IntegratorConfig(),
+                log_spacing: bool = True):
+        if not (0.0 < tau_min_us < tau_max_us):
             raise DomainError("need 0 < tau_min < tau_max")
-        if self.points < 2:
+        if points < 2:
             raise DomainError("points must be at least 2")
-        CycleInputs(self.freqs, self.p_c, self.p_h, 0.0)  # validates p_c, p_h
+        CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
+        return tuple.__new__(cls, (freqs, p_c, p_h, tau_min_us, tau_max_us,
+                                   points, cfg, log_spacing))
 
     def tau_grid_us(self) -> list[float]:
         if self.log_spacing:
@@ -80,13 +88,9 @@ class TauSweepSpec:
         return linear_spaced(self.tau_min_us, self.tau_max_us, self.points)
 
 
-@dataclass(frozen=True)
-class TauSweepRow:
-    tau_us: float
-    xi: float
-    xi_error: float
-    converged: bool
-    energetics: CycleEnergetics
+class TauSweepRow(namedtuple("TauSweepRow",
+                             "tau_us xi xi_error converged energetics")):
+    __slots__ = ()
 
 
 def run_tau_sweep(spec: TauSweepSpec) -> list[TauSweepRow]:
@@ -105,8 +109,8 @@ def run_tau_sweep(spec: TauSweepSpec) -> list[TauSweepRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class PhaseMapSpec:
+class PhaseMapSpec(namedtuple("PhaseMapSpec",
+                              "freqs ph_values pc_values xi tau_us cfg")):
     """Friction map over reservoir populations at fixed xi.
 
     The sign structure of the friction work does not depend on the stroke
@@ -114,24 +118,23 @@ class PhaseMapSpec:
     duration (microseconds) can be given from which xi is computed once.
     """
 
-    freqs: CycleFrequencies
-    ph_values: Sequence[float]
-    pc_values: Sequence[float]
-    xi: float = 0.25
-    tau_us: Optional[float] = None
-    cfg: IntegratorConfig = field(default_factory=IntegratorConfig)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, grid, hi in (("ph", self.ph_values, 1.0),
-                               ("pc", self.pc_values, 0.5)):
+    def __new__(cls, freqs: CycleFrequencies, ph_values: Sequence[float],
+                pc_values: Sequence[float], xi: float = 0.25,
+                tau_us: float | None = None,
+                cfg: IntegratorConfig = IntegratorConfig()):
+        for name, grid, hi in (("ph", ph_values, 1.0), ("pc", pc_values, 0.5)):
             if len(grid) < 2:
                 raise DomainError(f"{name} grid must have at least 2 points")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise DomainError(f"{name} grid must be strictly increasing")
             if grid[0] < 0.0 or grid[-1] > hi:
                 raise DomainError(f"{name} grid must lie in [0, {hi}]")
-        if not (0.0 <= self.xi <= 0.5):
+        if not (0.0 <= xi <= 0.5):
             raise DomainError("xi must lie in [0, 1/2]")
+        return tuple.__new__(cls, (freqs, ph_values, pc_values, xi, tau_us,
+                                   cfg))
 
     def resolve_xi(self) -> float:
         if self.tau_us is None:
@@ -139,13 +142,9 @@ class PhaseMapSpec:
         return evolve_expansion(self.tau_us * 1e-3, self.freqs, self.cfg).xi
 
 
-@dataclass(frozen=True)
-class PhaseMapRow:
-    p_h: float
-    p_c: float
-    w_fric: float
-    mode: str
-    on_zero_line: bool
+class PhaseMapRow(namedtuple("PhaseMapRow",
+                             "p_h p_c w_fric mode on_zero_line")):
+    __slots__ = ()
 
 
 def zero_friction_line(ph_values: Sequence[float],
@@ -156,7 +155,7 @@ def zero_friction_line(ph_values: Sequence[float],
 
 
 def run_phase_map(spec: PhaseMapSpec,
-                  threads: Optional[int] = None) -> list[PhaseMapRow]:
+                  threads: int | None = None) -> list[PhaseMapRow]:
     """Friction work on the (p_h, p_c) grid, row-major in p_h then p_c.
 
     A cell is marked on_zero_line when the friction expression is smaller

@@ -23,8 +23,7 @@ eta = -W_net/Q_h is reported only in that mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .complex2 import Density2, Matrix2, Unitary2, eig_hermitian2
 from .errors import DomainError
@@ -41,8 +40,7 @@ MODE_NO_HEAT = "not-engine(q_h<=0)"
 MODE_NEITHER = "not-engine(w_net>=0, q_h<=0)"
 
 
-@dataclass(frozen=True)
-class CycleInputs:
+class CycleInputs(namedtuple("CycleInputs", "freqs p_c p_h xi")):
     """Everything the closed-form energetics need.
 
     The closed forms are polynomials in the populations, so p_c and p_h lie
@@ -50,33 +48,27 @@ class CycleInputs:
     limits of a positive- and a negative-temperature reservoir.
     """
 
-    freqs: CycleFrequencies
-    p_c: float
-    p_h: float
-    xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.p_c <= 1.0):
-            raise DomainError(f"p_c must lie in [0, 1], got {self.p_c}")
-        if not (0.0 <= self.p_h <= 1.0):
-            raise DomainError(f"p_h must lie in [0, 1], got {self.p_h}")
-        if not (0.0 <= self.xi <= 0.5):
-            raise DomainError(f"xi must lie in [0, 1/2], got {self.xi}")
+    def __new__(cls, freqs: CycleFrequencies, p_c: float, p_h: float,
+                xi: float):
+        if not (0.0 <= p_c <= 1.0):
+            raise DomainError(f"p_c must lie in [0, 1], got {p_c}")
+        if not (0.0 <= p_h <= 1.0):
+            raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
+        if not (0.0 <= xi <= 0.5):
+            raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
+        return tuple.__new__(cls, (freqs, p_c, p_h, xi))
 
 
-@dataclass(frozen=True)
-class CycleEnergetics:
-    """Stage energies (h*kHz), their decomposition, and the operating mode."""
+class CycleEnergetics(namedtuple(
+        "CycleEnergetics", "w_exp w_comp q_c q_h w_net w_ad w_fric eta mode")):
+    """Stage energies (h*kHz), their decomposition, and the operating mode.
 
-    w_exp: float
-    w_comp: float
-    q_c: float
-    q_h: float
-    w_net: float
-    w_ad: float
-    w_fric: float
-    eta: Optional[float]
-    mode: str
+    eta is None outside engine mode.
+    """
+
+    __slots__ = ()
 
     @property
     def is_engine(self) -> bool:
@@ -200,8 +192,8 @@ def relative_entropy(rho: Density2, sigma: Density2) -> float:
     return d
 
 
-@dataclass(frozen=True)
-class StrokeFriction:
+class StrokeFriction(namedtuple(
+        "StrokeFriction", "work divergence inv_beta_eff singular_reference")):
     """Friction work of one stroke via the entropy-production route.
 
     `divergence` is D(rho_final || rho_quasistatic) in nats, `inv_beta_eff`
@@ -211,10 +203,7 @@ class StrokeFriction:
     returned directly.
     """
 
-    work: float
-    divergence: float
-    inv_beta_eff: float
-    singular_reference: bool
+    __slots__ = ()
 
 
 def friction_from_divergence(p_init: float, exponent_scale: float,
@@ -259,8 +248,8 @@ def friction_from_divergence(p_init: float, exponent_scale: float,
     return StrokeFriction(inv_beta_eff * div, div, inv_beta_eff, False)
 
 
-def negative_friction_window(p_h: float,
-                             freqs: CycleFrequencies) -> Optional[tuple[float, float]]:
+def negative_friction_window(
+        p_h: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
     """Cold-population interval giving negative friction work, or None.
 
     For an inverted hot reservoir (p_h > 1/2) the window is
@@ -274,8 +263,8 @@ def negative_friction_window(p_h: float,
     return (lower, 0.5)
 
 
-def hot_population_window(p_c: float,
-                          freqs: CycleFrequencies) -> Optional[tuple[float, float]]:
+def hot_population_window(
+        p_c: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
     """Hot-population interval giving negative friction work, or None.
 
     Companion of negative_friction_window:

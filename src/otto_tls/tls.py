@@ -14,7 +14,7 @@ temperature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .complex2 import Density2, Hermitian2, Matrix2
 from .errors import DomainError
@@ -28,31 +28,30 @@ KET_PLUS_Y = (_S2 + 0j, 1j * _S2)
 KET_MINUS_Y = (_S2 + 0j, -1j * _S2)
 
 
-@dataclass(frozen=True)
-class CycleFrequencies:
+class CycleFrequencies(namedtuple("CycleFrequencies", "nu_c nu_h")):
     """Cold and hot endpoint frequencies in kHz, finite, with nu_h > nu_c > 0."""
 
-    nu_c: float
-    nu_h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.nu_c < math.inf):
-            raise DomainError(f"nu_c must be positive and finite, got {self.nu_c}")
-        if not (self.nu_c < self.nu_h < math.inf):
+    def __new__(cls, nu_c: float, nu_h: float):
+        if not (0.0 < nu_c < math.inf):
+            raise DomainError(f"nu_c must be positive and finite, got {nu_c}")
+        if not (nu_c < nu_h < math.inf):
             raise DomainError(
-                f"nu_h must be finite and exceed nu_c, got nu_c={self.nu_c}, "
-                f"nu_h={self.nu_h}")
+                f"nu_h must be finite and exceed nu_c, got nu_c={nu_c}, "
+                f"nu_h={nu_h}")
+        return tuple.__new__(cls, (nu_c, nu_h))
 
 
-@dataclass(frozen=True)
-class StrokeDuration:
+class StrokeDuration(namedtuple("StrokeDuration", "tau")):
     """Duration of one unitary stroke, in ms."""
 
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.tau > 0.0):
-            raise DomainError(f"tau must be positive, got {self.tau}")
+    def __new__(cls, tau: float):
+        if not (tau > 0.0):
+            raise DomainError(f"tau must be positive, got {tau}")
+        return tuple.__new__(cls, (tau,))
 
 
 def gibbs_population(u: float) -> float:
@@ -79,15 +78,18 @@ def exponent_from_population(p: float) -> float:
     return math.log1p(-p) - math.log(p)
 
 
-@dataclass(frozen=True)
-class ReservoirSpec:
+class ReservoirSpec(namedtuple("ReservoirSpec", "u")):
     """A reservoir given by exponent u = beta*h*nu, with population derived."""
 
-    u: float
-    p: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", gibbs_population(self.u))
+    def __new__(cls, u: float):
+        gibbs_population(u)  # raises DomainError unless u is finite
+        return tuple.__new__(cls, (u,))
+
+    @property
+    def p(self) -> float:
+        return gibbs_population(self.u)
 
     @classmethod
     def from_population(cls, p: float) -> "ReservoirSpec":

@@ -1,11 +1,16 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import otto_tls
 from otto_tls.cli import main
 
 UNITS_LINE = "# energy unit: h*kHz; time unit: us"
@@ -20,8 +25,14 @@ def run_cli(*argv):
 
 def parse_csv(text):
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    return header, [dict(zip(header, l.split(","))) for l in lines[1:]]
+    header, *rows = csv.reader(lines)
+    return header, [dict(zip(header, r)) for r in rows]
+
+
+def child_env():
+    """Environment whose PYTHONPATH finds this otto_tls and nothing else."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(otto_tls.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 class TestXi:
@@ -152,6 +163,25 @@ class TestTauSweep:
         assert "-0," not in out
 
 
+class TestCsvQuoting:
+    @pytest.mark.parametrize("argv", [
+        ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.45",
+         "--ph", "0.3", "--points", "3", "--xi-tol", "1e-8"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--ph-points", "20",
+         "--pc-points", "20"),
+    ])
+    def test_every_row_has_the_header_width(self, argv):
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        lines = [l for l in out.splitlines() if not l.startswith("#")]
+        header, *rows = csv.reader(lines)
+        assert rows and all(len(r) == len(header) for r in rows)
+        # The mode holding a comma is present, quoted.
+        assert '"not-engine(w_net>=0, q_h<=0)"' in out
+        assert "not-engine(w_net>=0, q_h<=0)" in [r[header.index("mode")]
+                                                  for r in rows]
+
+
 class TestPhaseMap:
     def test_grid_and_zero_line_series(self):
         code, out, _ = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
@@ -222,7 +252,62 @@ class TestErrorsAndVerify:
         assert err.startswith("otto-tls: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+         "--ph", "0.8", "--tau-max", "inf"),
+        ("xi", "--nu-c", "2", "--nu-h", "3.6", "--tau-min=-inf"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--pc-max", "inf"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--ph-min", "nan"),
+    ])
+    def test_non_finite_grid_bound_named(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("otto-tls: grid bounds must be finite, got ")
+        assert err.split()[-1] in ("inf", "-inf", "nan")
+
+    def test_unwritable_output_one_line_error(self, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--pc", "0.4", "--ph", "0.8", "--xi", "0.25",
+                                 "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"otto-tls: cannot write {path}: No such file or directory"]
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # About 150 kB of CSV, more than a pipe buffers, so the child is
+        # still writing when the reader goes away after one line.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "otto_tls.cli", "phase-map", "--nu-c", "2",
+             "--nu-h", "3.6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert first.decode() == UNITS_LINE + "\n"
+        assert proc.returncode == 1
+        assert err == b""
+
     def test_verify_quick_passes(self):
         code, out, _ = run_cli("verify", "--quick")
         assert code == 0
         assert "FAIL" not in out
+
+
+def test_startup_imports_stay_lean():
+    # -S skips site, whose .pth files may import typing or random
+    # themselves and hide a regression here.
+    modules = ("dataclasses", "inspect", "typing", "random",
+               "concurrent.futures")
+    code = ("import sys, otto_tls.cli; "
+            f"print(','.join(m for m in {modules!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

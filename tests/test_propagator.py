@@ -96,12 +96,9 @@ class TestTransitionProbability:
         almost = Unitary2(1.0, 5e-11, 5e-11, -1.0)
         # Forms differ only by rounding here, so this should pass...
         transition_probability(almost)
-        with pytest.raises((UnitarityError, Exception)):
-            bad = Unitary2.__new__(Unitary2)
-            object.__setattr__(bad, "a11", 1.0)
-            object.__setattr__(bad, "a12", 1e-3)
-            object.__setattr__(bad, "a21", 0.0)
-            object.__setattr__(bad, "a22", 1.0)
+        # tuple.__new__ skips the Unitary2 check, as namedtuple's _make does.
+        bad = tuple.__new__(Unitary2, (1.0, 1e-3, 0.0, 1.0))
+        with pytest.raises(UnitarityError):
             transition_probability(bad)
 
     def test_basis_phase_independence(self):

@@ -1,5 +1,7 @@
 """Tau sweeps and the friction phase map."""
 
+import math
+
 import pytest
 
 from otto_tls import (CycleFrequencies, DomainError, IntegratorConfig,
@@ -32,6 +34,16 @@ class TestGrids:
             log_spaced(10.0, 5.0, 4)
         with pytest.raises(DomainError):
             TauSweepSpec(FREQS, 0.4, 0.8, 100.0, 10.0, 10)
+
+    @pytest.mark.parametrize("spacing", [log_spaced, linear_spaced])
+    @pytest.mark.parametrize("lo, hi, bad", [
+        (10.0, math.inf, "inf"), (-math.inf, 10.0, "-inf"),
+        (math.nan, 10.0, "nan"), (1.0, math.nan, "nan"),
+    ])
+    def test_non_finite_bounds_named(self, spacing, lo, hi, bad):
+        with pytest.raises(DomainError,
+                           match=f"^grid bounds must be finite, got {bad}$"):
+            spacing(lo, hi, 4)
 
 
 class TestTauSweep:
