@@ -35,7 +35,8 @@ from .sweep import (PhaseMapSpec, TauSweepSpec, linear_spaced, log_spaced,
 from .thermo import (CycleInputs, adiabatic_efficiency, cycle_energetics,
                      energetics_from_states, friction_from_divergence,
                      hot_population_window, negative_friction_window)
-from .tls import CycleFrequencies, exponent_from_population, gibbs_population
+from .tls import (CycleFrequencies, StrokeDuration, exponent_from_population,
+                  gibbs_population)
 
 UNITS_COMMENT = "# energy unit: h*kHz; time unit: us"
 
@@ -179,9 +180,10 @@ def _cmd_xi(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     spacing = linear_spaced if args.linear else log_spaced
     taus_us = spacing(args.tau_min, args.tau_max, args.points)
+    taus = [StrokeDuration(t * 1e-3).tau for t in taus_us]
     cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
-    points = xi_sweep([t * 1e-3 for t in taus_us], freqs, cfg)
     with _output(args.output) as fh:
+        points = xi_sweep(taus, freqs, cfg)
         _emit(fh, ["tau_us", "xi", "xi_error", "converged"],
               [(t, pt.xi, pt.error_estimate, pt.converged)
                for t, pt in zip(taus_us, points)])
@@ -191,13 +193,15 @@ def _cmd_xi(args) -> int:
 def _cmd_cycle(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
-    if args.xi is not None:
-        xi = args.xi
-    else:
+    xi = args.xi
+    CycleInputs(freqs, p_c, p_h, 0.0 if xi is None else xi)  # validates
+    if xi is None:
+        tau = StrokeDuration(args.tau * 1e-3).tau
         cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
-        xi = evolve_expansion(args.tau * 1e-3, freqs, cfg).xi
-    en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
     with _output(args.output) as fh:
+        if xi is None:
+            xi = evolve_expansion(tau, freqs, cfg).xi
+        en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
         fh.write(UNITS_COMMENT + "\n")
         for name, value in [("nu_c", freqs.nu_c), ("nu_h", freqs.nu_h),
                             ("p_c", p_c), ("p_h", p_h), ("xi", xi),
@@ -218,8 +222,8 @@ def _cmd_tau_sweep(args) -> int:
     spec = TauSweepSpec(freqs, p_c, p_h, args.tau_min, args.tau_max,
                         args.points, IntegratorConfig(xi_tolerance=args.xi_tol),
                         log_spacing=not args.linear)
-    rows = run_tau_sweep(spec)
     with _output(args.output) as fh:
+        rows = run_tau_sweep(spec)
         _emit(fh, ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c",
                    "eta", "mode", "converged"],
               [(r.tau_us, r.xi, r.energetics.w_net, r.energetics.w_ad,
@@ -238,12 +242,12 @@ def _cmd_phase_map(args) -> int:
         xi=args.xi if args.tau is None else 0.0,
         tau_us=args.tau,
         cfg=IntegratorConfig(xi_tolerance=args.xi_tol))
-    rows = run_phase_map(spec, threads=args.threads)
-    line = zero_friction_line(spec.ph_values, freqs)
-    out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
-           for r in rows]
-    out += [("zero_line", ph, pc, 0.0, "", "") for ph, pc in line]
     with _output(args.output) as fh:
+        rows = run_phase_map(spec, threads=args.threads)
+        line = zero_friction_line(spec.ph_values, freqs)
+        out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
+               for r in rows]
+        out += [("zero_line", ph, pc, 0.0, "", "") for ph, pc in line]
         _emit(fh, ["series", "p_h", "p_c", "w_fric", "mode", "on_zero_line"],
               out)
     return 0
@@ -254,6 +258,8 @@ def _cmd_windows(args) -> int:
     if args.ph is None and args.pc is None:
         print("windows: provide --ph and/or --pc", file=sys.stderr)
         return 2
+    # The windows are closed forms that also validate --ph and --pc, so they
+    # are evaluated before -o is opened.
     rows = []
     if args.ph is not None:
         w = negative_friction_window(args.ph, freqs)

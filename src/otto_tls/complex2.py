@@ -4,7 +4,9 @@ Everything in the cycle lives in dimension two, so eigendecompositions and
 unitary exponentials are done in closed form rather than through a general
 linear-algebra library.  A matrix is an immutable named tuple of its four
 entries; the three constrained roles (Hermitian, unitary, density matrix)
-validate their structure on construction.
+validate their structure on every construction.  Each check works in closed
+form on the four entries and builds no intermediate matrix: U^dag U - I, for
+example, is formed from the two column norms and the column overlap.
 
 Conventions: a Hermitian matrix is split as H = c*I + v.sigma with
 c = tr(H)/2 and v the Bloch components; the exponential uses
@@ -26,10 +28,6 @@ DENSITY_EIG_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 class Matrix2(namedtuple("Matrix2", "a11 a12 a21 a22")):
     """A dense 2x2 complex matrix, stored row-major.
 
@@ -44,17 +42,17 @@ class Matrix2(namedtuple("Matrix2", "a11 a12 a21 a22")):
         return self
 
     def _check(self) -> None:
-        for z in self:
-            if not _finite(complex(z)):
-                raise ConstraintViolation("matrix entries must be finite")
+        a11, a12, a21, a22 = self
+        isfinite = cmath.isfinite  # takes int, float and complex alike
+        if not (isfinite(a11) and isfinite(a12)
+                and isfinite(a21) and isfinite(a22)):
+            raise ConstraintViolation("matrix entries must be finite")
 
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        a11, a12, a21, a22 = self
+        b11, b12, b21, b22 = other
+        return Matrix2(a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                       a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
 
     def __add__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(self.a11 + other.a11, self.a12 + other.a12,
@@ -101,11 +99,11 @@ class Hermitian2(Matrix2):
 
     def _check(self) -> None:
         super()._check()
-        scale = max(1.0, self.max_abs())
-        if abs(self.a21 - complex(self.a12).conjugate()) > HERMITIAN_TOL * scale:
+        a11, a12, a21, a22 = self
+        tol = HERMITIAN_TOL * max(1.0, abs(a11), abs(a12), abs(a21), abs(a22))
+        if abs(a21 - a12.conjugate()) > tol:
             raise ConstraintViolation("off-diagonal entries are not conjugate")
-        if abs(complex(self.a11).imag) > HERMITIAN_TOL * scale \
-                or abs(complex(self.a22).imag) > HERMITIAN_TOL * scale:
+        if abs(a11.imag) > tol or abs(a22.imag) > tol:
             raise ConstraintViolation("diagonal entries are not real")
 
 
@@ -116,8 +114,16 @@ class Unitary2(Matrix2):
 
     def _check(self) -> None:
         super()._check()
-        dev = (self.adjoint() @ self) - IDENTITY
-        if dev.max_abs() > UNITARY_TOL:
+        a11, a12, a21, a22 = self
+        c11 = a11.conjugate()
+        c21 = a21.conjugate()
+        # The entries of U^dag U - I, with the same arithmetic as the matrix
+        # form; its (2, 1) entry is the conjugate of the (1, 2) entry.  Each
+        # test is written so that a NaN from an overflowing product rejects.
+        if not (abs(c11 * a11 + c21 * a21 - 1.0) <= UNITARY_TOL
+                and abs(a12.conjugate() * a12 + a22.conjugate() * a22 - 1.0)
+                <= UNITARY_TOL
+                and abs(c11 * a12 + c21 * a22) <= UNITARY_TOL):
             raise ConstraintViolation("matrix is not unitary")
 
 
@@ -128,16 +134,16 @@ class Density2(Matrix2):
 
     def _check(self) -> None:
         super()._check()
-        scale = max(1.0, self.max_abs())
-        if abs(self.a21 - complex(self.a12).conjugate()) > HERMITIAN_TOL * scale:
+        a11, a12, a21, a22 = self
+        tol = HERMITIAN_TOL * max(1.0, abs(a11), abs(a12), abs(a21), abs(a22))
+        if abs(a21 - a12.conjugate()) > tol:
             raise ConstraintViolation("density matrix is not Hermitian")
-        if abs(self.trace() - 1.0) > DENSITY_TRACE_TOL:
+        if abs(a11 + a22 - 1.0) > DENSITY_TRACE_TOL:
             raise ConstraintViolation("density matrix trace is not 1")
-        a = complex(self.a11).real
-        d = complex(self.a22).real
-        m = 0.5 * (a + d)
-        r = math.hypot(0.5 * (a - d), abs(self.a12))
-        if m - r < -DENSITY_EIG_TOL:
+        a = a11.real
+        d = a22.real
+        if 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(a12)) \
+                < -DENSITY_EIG_TOL:
             raise ConstraintViolation("density matrix has a negative eigenvalue")
 
 

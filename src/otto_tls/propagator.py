@@ -34,7 +34,8 @@ from collections.abc import Sequence
 
 from .complex2 import Unitary2
 from .errors import ConvergenceError, DomainError, UnitarityError
-from .tls import KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y, CycleFrequencies
+from .tls import (KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y,
+                  CycleFrequencies, StrokeDuration)
 
 XI_MAX_SLACK = 1e-9
 _XI_FORM_TOL = 1e-10
@@ -79,11 +80,6 @@ class PropagatorResult(namedtuple("PropagatorResult",
         if not (-XI_MAX_SLACK <= xi <= 0.5 + XI_MAX_SLACK):
             raise DomainError(f"xi={xi} outside [0, 1/2]")
         return tuple.__new__(cls, (U, steps_used, xi_error_estimate, xi))
-
-
-def _check_tau(tau: float) -> None:
-    if not (0.0 < tau < math.inf):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
 
 
 def _propagate(tau: float, freqs: CycleFrequencies, steps: int,
@@ -243,7 +239,7 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
     cfg.xi_tolerance; xi_2n and that difference are returned.  Raises
     ConvergenceError carrying the last estimate after cfg.max_doublings.
     """
-    _check_tau(tau)
+    StrokeDuration(tau)  # validates tau
 
     def xi_of(raw):
         if compression:
@@ -297,7 +293,7 @@ def propagate_fixed_steps(tau: float, freqs: CycleFrequencies, steps: int,
     The second-order reference: no doubling, and not the CF4 scheme that
     evolve_expansion and integrate_compression use.
     """
-    _check_tau(tau)
+    StrokeDuration(tau)  # validates tau
     if steps < 1:
         raise DomainError("steps must be positive")
     return Unitary2(*_propagate(tau, freqs, steps, compression))

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from .errors import DomainError
 from .propagator import IntegratorConfig, _expansion_or_best, evolve_expansion
 from .thermo import CycleEnergetics, CycleInputs, _classify, cycle_energetics
-from .tls import CycleFrequencies
+from .tls import CycleFrequencies, StrokeDuration
 
 DEFAULT_TAU_MIN_US = 10.0
 DEFAULT_TAU_MAX_US = 1000.0
@@ -133,6 +133,8 @@ class PhaseMapSpec(namedtuple("PhaseMapSpec",
                 raise DomainError(f"{name} grid must lie in [0, {hi}]")
         if not (0.0 <= xi <= 0.5):
             raise DomainError("xi must lie in [0, 1/2]")
+        if tau_us is not None:
+            StrokeDuration(tau_us * 1e-3)  # validates tau
         return tuple.__new__(cls, (freqs, ph_values, pc_values, xi, tau_us,
                                    cfg))
 

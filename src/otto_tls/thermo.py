@@ -145,10 +145,15 @@ def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
     rho2 = u @ rho1 @ u_dag
     rho4 = u_dag @ rho3 @ u
 
-    w_exp = _trace_product(h_h, rho2) - _trace_product(h_c, rho1)
-    w_comp = _trace_product(h_c, rho4) - _trace_product(h_h, rho3)
-    q_c = _trace_product(h_c, rho1 - rho4)
-    q_h = _trace_product(h_h, rho3 - rho2)
+    # e_k = tr(H rho_k), the energy at cycle stage k.
+    e1 = _trace_product(h_c, rho1)
+    e2 = _trace_product(h_h, rho2)
+    e3 = _trace_product(h_h, rho3)
+    e4 = _trace_product(h_c, rho4)
+    w_exp = e2 - e1
+    w_comp = e4 - e3
+    q_c = e1 - e4
+    q_h = e3 - e2
     w_net = w_exp + w_comp
     w_ad = -(freqs.nu_h - freqs.nu_c) * (p_h - p_c)
     w_fric = w_net - w_ad

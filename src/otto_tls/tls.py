@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .complex2 import Density2, Hermitian2, Matrix2
+from .complex2 import Density2, Hermitian2
 from .errors import DomainError
 
 _S2 = 1.0 / math.sqrt(2.0)
@@ -44,13 +44,13 @@ class CycleFrequencies(namedtuple("CycleFrequencies", "nu_c nu_h")):
 
 
 class StrokeDuration(namedtuple("StrokeDuration", "tau")):
-    """Duration of one unitary stroke, in ms."""
+    """Duration of one unitary stroke, in ms, positive and finite."""
 
     __slots__ = ()
 
     def __new__(cls, tau: float):
-        if not (tau > 0.0):
-            raise DomainError(f"tau must be positive, got {tau}")
+        if not (0.0 < tau < math.inf):
+            raise DomainError(f"tau must be positive and finite, got {tau}")
         return tuple.__new__(cls, (tau,))
 
 
@@ -100,15 +100,20 @@ class ReservoirSpec(namedtuple("ReservoirSpec", "u")):
         return self.u < 0.0
 
 
+# The two projectors are immutable, so every caller shares one instance.
+_PROJECTOR_X = Hermitian2(0.5, 0.5, 0.5, 0.5)
+_PROJECTOR_Y = Hermitian2(0.5, -0.5j, 0.5j, 0.5)
+
+
 def projector_excited(axis: str) -> Hermitian2:
     """Rank-1 projector onto the excited state of the given axis.
 
     axis 'x' projects onto (1, 1)/sqrt(2); axis 'y' onto (1, i)/sqrt(2).
     """
     if axis == "x":
-        return Hermitian2(0.5, 0.5, 0.5, 0.5)
+        return _PROJECTOR_X
     if axis == "y":
-        return Hermitian2(0.5, -0.5j, 0.5j, 0.5)
+        return _PROJECTOR_Y
     raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
@@ -164,8 +169,7 @@ def gibbs_state(p: float, axis: str) -> Density2:
     proj = projector_excited(axis)
     # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
     w = 2.0 * p - 1.0
-    m = Matrix2(
+    return Density2(
         (1.0 - p) + w * proj.a11, w * proj.a12,
         w * proj.a21, (1.0 - p) + w * proj.a22,
     )
-    return Density2(*m.entries())

@@ -277,6 +277,53 @@ class TestErrorsAndVerify:
         assert err.splitlines() == [
             f"otto-tls: cannot write {path}: No such file or directory"]
 
+    @pytest.mark.parametrize("compute, argv", [
+        ("run_phase_map", ("phase-map", "--nu-c", "2", "--nu-h", "3.6",
+                           "--ph-points", "300", "--pc-points", "300")),
+        ("run_tau_sweep", ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6",
+                           "--pc", "0.4", "--ph", "0.8")),
+        ("xi_sweep", ("xi", "--nu-c", "2", "--nu-h", "3.6")),
+        ("evolve_expansion", ("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                              "--pc", "0.4", "--ph", "0.8", "--tau", "300")),
+    ])
+    def test_unwritable_output_reported_before_compute(self, tmp_path,
+                                                        monkeypatch, compute,
+                                                        argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{compute} ran before -o was opened")
+
+        monkeypatch.setattr(f"otto_tls.cli.{compute}", refuse)
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(*argv, "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"otto-tls: cannot write {path}: No such file or directory"]
+
+    @pytest.mark.parametrize("argv", [
+        ("xi", "--nu-c", "3.6", "--nu-h", "2"),
+        ("cycle", "--nu-c", "3.6", "--nu-h", "2", "--pc", "0.4", "--ph", "0.8",
+         "--xi", "0.25"),
+        ("tau-sweep", "--nu-c", "3.6", "--nu-h", "2", "--pc", "0.4",
+         "--ph", "0.8"),
+        ("phase-map", "--nu-c", "3.6", "--nu-h", "2"),
+        ("windows", "--nu-c", "3.6", "--nu-h", "2", "--ph", "0.8"),
+        ("xi", "--nu-c", "2", "--nu-h", "3.6", "--linear", "--tau-min", "0"),
+        ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
+         "--tau", "-5"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--tau", "-5"),
+        ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "1.5"),
+    ])
+    def test_invalid_input_leaves_output_untouched(self, tmp_path, argv):
+        path = tmp_path / "kept.csv"
+        path.write_text("earlier output\n")
+        code, out, err = run_cli(*argv, "-o", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("otto-tls: ")
+        assert path.read_text() == "earlier output\n"
+
     def test_closed_pipe_exits_1_without_traceback(self):
         # About 150 kB of CSV, more than a pipe buffers, so the child is
         # still writing when the reader goes away after one line.

@@ -5,12 +5,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from otto_tls import (ConstraintViolation, Density2, Hermitian2, Matrix2,
-                      Unitary2, eig_hermitian2, exp_neg_i_h)
-from otto_tls.complex2 import IDENTITY
+from otto_tls import (ConstraintViolation, CycleFrequencies, Density2,
+                      Hermitian2, Matrix2, Unitary2, eig_hermitian2,
+                      evolve_expansion, exp_neg_i_h, gibbs_state,
+                      projector_excited)
+from otto_tls.complex2 import IDENTITY, UNITARY_TOL
 
 from conftest import random_hermitian
 
@@ -72,6 +74,72 @@ class TestConstraints:
     def test_density_negative_eigenvalue_rejected(self):
         with pytest.raises(ConstraintViolation):
             Density2(1.2, 0.0, 0.0, -0.2)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("role, base", [
+        (Matrix2, (1.0, 0.0, 0.0, 1.0)),
+        (Hermitian2, (1.0, 0.0, 0.0, 1.0)),
+        (Unitary2, (1.0, 0.0, 0.0, 1.0)),
+        (Density2, (0.5, 0.0, 0.0, 0.5)),
+    ])
+    def test_non_finite_entry_rejected(self, role, base, index, bad, part):
+        entries = list(base)
+        x = entries[index]
+        entries[index] = complex(bad, 0.0) if part == "real" else complex(x, bad)
+        with pytest.raises(ConstraintViolation,
+                           match="^matrix entries must be finite$"):
+            role(*entries)
+
+    @pytest.mark.parametrize("entries", [
+        (1e200, 0.0, 0.0, 1.0),
+        (1e200, 1e200, 1e200, 1e200),
+        (1e155j, 1e155, 0.0, 1.0),
+    ])
+    def test_overflowing_unitarity_residual_rejected(self, entries):
+        # Finite entries whose products overflow to inf (or inf - inf).
+        with pytest.raises(ConstraintViolation, match="not unitary"):
+            Unitary2(*entries)
+
+
+@st.composite
+def perturbed_unitaries(draw):
+    u = exp_neg_i_h(draw(hermitians()), draw(finite_reals))
+    eps = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-8.0))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    return [z + eps * complex(draw(unit), draw(unit)) for z in u]
+
+
+class TestClosedFormChecks:
+    @given(perturbed_unitaries())
+    @settings(max_examples=300, deadline=None)
+    def test_unitary_check_matches_matrix_form(self, entries):
+        m = Matrix2(*entries)
+        dev = ((m.adjoint() @ m) - IDENTITY).max_abs()
+        assume(abs(dev - UNITARY_TOL) > 1e-6 * UNITARY_TOL)
+        try:
+            Unitary2(*entries)
+            accepted = True
+        except ConstraintViolation:
+            accepted = False
+        assert accepted == (dev <= UNITARY_TOL)
+
+    def test_role_checks_build_no_matrices(self, monkeypatch):
+        u = evolve_expansion(0.3, CycleFrequencies(2.0, 3.6)).U
+
+        def refuse(*args):
+            raise AssertionError("a role check built a temporary matrix")
+
+        for name in ("__matmul__", "adjoint", "__sub__"):
+            monkeypatch.setattr(Matrix2, name, refuse)
+        Unitary2(*u)
+        gibbs_state(0.3, "y")
+        projector_excited("x")
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_projectors_are_shared(self, axis):
+        assert projector_excited(axis) is projector_excited(axis)
 
 
 class TestEig:

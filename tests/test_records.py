@@ -144,6 +144,8 @@ NAN, INF = math.nan, math.inf
     (lambda: CycleFrequencies(2.0, INF), DomainError, "nu_h must be finite and exceed"),
     (lambda: StrokeDuration(0.0), DomainError, "tau must be positive"),
     (lambda: StrokeDuration(NAN), DomainError, "tau must be positive"),
+    (lambda: StrokeDuration(INF), DomainError,
+     "tau must be positive and finite"),
     (lambda: ReservoirSpec(INF), DomainError, "exponent must be finite"),
     (lambda: ReservoirSpec(NAN), DomainError, "exponent must be finite"),
     (lambda: IntegratorConfig(initial_steps=1), DomainError, "initial_steps"),
@@ -172,6 +174,10 @@ NAN, INF = math.nan, math.inf
      "pc grid must lie in"),
     (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], xi=0.7), DomainError,
      "xi must lie"),
+    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], tau_us=-5.0),
+     DomainError, "tau must be positive and finite"),
+    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], tau_us=INF),
+     DomainError, "tau must be positive and finite"),
 ])
 def test_validation_errors_fire(build, exc, match):
     with pytest.raises(exc, match=match):
