@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .complex2 import (Density2, Hermitian2, Matrix2, Unitary2,
                        eig_hermitian2, exp_neg_i_h)
 from .errors import (ConstraintViolation, ConvergenceError, DomainError,
-                     OttoError, UnitarityError)
+                     OttoError)
 from .propagator import (IntegratorConfig, PropagatorResult, XiPoint,
                          evolve_expansion, integrate_compression,
                          propagate_fixed_steps, transition_probability,
@@ -33,8 +33,7 @@ from .tls import (CycleFrequencies, ReservoirSpec, StrokeDuration,
 __all__ = [
     "Matrix2", "Hermitian2", "Unitary2", "Density2",
     "eig_hermitian2", "exp_neg_i_h",
-    "OttoError", "ConstraintViolation", "DomainError", "UnitarityError",
-    "ConvergenceError",
+    "OttoError", "ConstraintViolation", "DomainError", "ConvergenceError",
     "CycleFrequencies", "ReservoirSpec", "StrokeDuration",
     "gibbs_population", "exponent_from_population", "gibbs_state",
     "projector_excited", "ramp_frequency",

@@ -106,14 +106,15 @@ def _add_tau_args(p: argparse.ArgumentParser) -> None:
                    help="use a linear tau grid instead of log-spaced")
 
 
+def _add_output_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-o", "--output", default=None,
+                   help="output file ('-' or omitted: stdout)")
+
+
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xi-tol", type=float, default=1e-9,
                    help="step-doubling tolerance on xi (default 1e-9)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for phase-map (default: cpu count); "
-                        "other subcommands run serially")
-    p.add_argument("-o", "--output", default=None,
-                   help="output file ('-' or omitted: stdout)")
+    _add_output_arg(p)
 
 
 def _populations(args) -> tuple[float, float]:
@@ -162,13 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc-min", type=float, default=0.02)
     p.add_argument("--pc-max", type=float, default=0.49)
     p.add_argument("--pc-points", type=int, default=50)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for the map cells (default: cpu count)")
     _add_common_args(p)
 
     p = sub.add_parser("windows", help="negative-friction population windows")
     _add_freq_args(p)
     p.add_argument("--ph", type=float, help="hot population: report the p_c window")
     p.add_argument("--pc", type=float, help="cold population: report the p_h window")
-    _add_common_args(p)
+    _add_output_arg(p)
 
     p = sub.add_parser("verify", help="run the built-in self-check suite")
     p.add_argument("--quick", action="store_true",
@@ -256,8 +259,7 @@ def _cmd_phase_map(args) -> int:
 def _cmd_windows(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     if args.ph is None and args.pc is None:
-        print("windows: provide --ph and/or --pc", file=sys.stderr)
-        return 2
+        raise ValueError("windows: provide --ph and/or --pc")  # exits 2
     # The windows are closed forms that also validate --ph and --pc, so they
     # are evaluated before -o is opened.
     rows = []

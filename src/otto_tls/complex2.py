@@ -3,10 +3,13 @@
 Everything in the cycle lives in dimension two, so eigendecompositions and
 unitary exponentials are done in closed form rather than through a general
 linear-algebra library.  A matrix is an immutable named tuple of its four
-entries; the three constrained roles (Hermitian, unitary, density matrix)
-validate their structure on every construction.  Each check works in closed
-form on the four entries and builds no intermediate matrix: U^dag U - I, for
-example, is formed from the two column norms and the column overlap.
+entries; the constrained roles validate their structure on every
+construction.  Hermitian2 and Unitary2 extend Matrix2, and Density2 extends
+Hermitian2: a density matrix passes the Hermitian check (conjugate
+off-diagonal, real diagonal) before its trace and eigenvalue checks.  Each
+check works in closed form on the four entries and builds no intermediate
+matrix: U^dag U - I, for example, is formed from the two column norms and
+the column overlap.
 
 Conventions: a Hermitian matrix is split as H = c*I + v.sigma with
 c = tr(H)/2 and v the Bloch components; the exponential uses
@@ -102,9 +105,11 @@ class Hermitian2(Matrix2):
         a11, a12, a21, a22 = self
         tol = HERMITIAN_TOL * max(1.0, abs(a11), abs(a12), abs(a21), abs(a22))
         if abs(a21 - a12.conjugate()) > tol:
-            raise ConstraintViolation("off-diagonal entries are not conjugate")
+            raise ConstraintViolation("matrix is not Hermitian: off-diagonal "
+                                      "entries are not conjugate")
         if abs(a11.imag) > tol or abs(a22.imag) > tol:
-            raise ConstraintViolation("diagonal entries are not real")
+            raise ConstraintViolation("matrix is not Hermitian: diagonal "
+                                      "entries are not real")
 
 
 class Unitary2(Matrix2):
@@ -127,17 +132,14 @@ class Unitary2(Matrix2):
             raise ConstraintViolation("matrix is not unitary")
 
 
-class Density2(Matrix2):
-    """Matrix2 constrained to be a valid density matrix."""
+class Density2(Hermitian2):
+    """Hermitian2 constrained to unit trace and no negative eigenvalue."""
 
     __slots__ = ()
 
     def _check(self) -> None:
         super()._check()
         a11, a12, a21, a22 = self
-        tol = HERMITIAN_TOL * max(1.0, abs(a11), abs(a12), abs(a21), abs(a22))
-        if abs(a21 - a12.conjugate()) > tol:
-            raise ConstraintViolation("density matrix is not Hermitian")
         if abs(a11 + a22 - 1.0) > DENSITY_TRACE_TOL:
             raise ConstraintViolation("density matrix trace is not 1")
         a = a11.real

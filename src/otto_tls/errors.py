@@ -13,10 +13,6 @@ class DomainError(OttoError, ValueError):
     """An argument fell outside its valid domain."""
 
 
-class UnitarityError(OttoError):
-    """Two expressions that unitarity forces to agree did not."""
-
-
 class ConvergenceError(OttoError):
     """Step doubling exhausted its budget; carries the best estimate."""
 

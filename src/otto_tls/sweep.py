@@ -1,11 +1,13 @@
 """Parameter sweeps: xi(tau) curves, cycle tau-sweeps, and the friction map.
 
-Sweep points are independent pure computations, evaluated in input order.
-Only the phase map may run its cells on a thread pool (threads); it
-assembles them in input order, so its output is bitwise deterministic
-whatever the thread count.  xi_sweep and run_tau_sweep loop serially: their
-per-point work is pure Python that holds the interpreter lock, and a pool
-measured slower.
+Every energy comes from thermo.cycle_energetics: a tau-sweep row and a
+phase-map cell at the same (p_c, p_h, xi) report the same friction work
+and mode.  Sweep points are independent pure computations, evaluated in
+input order.  Only the phase map may run its cells on a thread pool
+(threads); it assembles them in input order, so its output is bitwise
+deterministic whatever the thread count.  xi_sweep and run_tau_sweep loop
+serially: their per-point work is pure Python that holds the interpreter
+lock, and a pool measured slower.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError
 from .propagator import IntegratorConfig, _expansion_or_best, evolve_expansion
-from .thermo import CycleEnergetics, CycleInputs, _classify, cycle_energetics
+from .thermo import CycleInputs, cycle_energetics
 from .tls import CycleFrequencies, StrokeDuration
 
 DEFAULT_TAU_MIN_US = 10.0
@@ -160,11 +162,13 @@ def run_phase_map(spec: PhaseMapSpec,
                   threads: int | None = None) -> list[PhaseMapRow]:
     """Friction work on the (p_h, p_c) grid, row-major in p_h then p_c.
 
-    A cell is marked on_zero_line when the friction expression is smaller
-    than the grid resolution maps into energy units.
+    w_fric and mode are those of cycle_energetics.  A cell is marked
+    on_zero_line when the friction bracket nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)
+    is smaller than the grid resolution maps into energy units; the bracket
+    is evaluated here because w_fric = xi * bracket loses it at xi = 0.
     """
-    xi = spec.resolve_xi()
-    nu_c, nu_h = spec.freqs.nu_c, spec.freqs.nu_h
+    freqs, xi = spec.freqs, spec.resolve_xi()
+    nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(spec.pc_values, spec.pc_values[1:]))
     d_ph = max(b - a for a, b in zip(spec.ph_values, spec.ph_values[1:]))
     line_tol = nu_h * d_pc + nu_c * d_ph
@@ -173,14 +177,9 @@ def run_phase_map(spec: PhaseMapSpec,
 
     def cell(point: tuple[float, float]) -> PhaseMapRow:
         ph, pc = point
-        # Direct formulas rather than cycle_energetics: routing the cells
-        # through it under the thread pool measured 25-33% more wall time
-        # on a 200x200 map (2-core host).
-        sign_expr = nu_h * (1.0 - 2.0 * pc) + nu_c * (1.0 - 2.0 * ph)
-        w_fric = xi * sign_expr
-        w_net = -(nu_h - nu_c) * (ph - pc) + w_fric
-        q_h = nu_h * ((ph - pc) - xi * (1.0 - 2.0 * pc))
-        return PhaseMapRow(ph, pc, w_fric, _classify(w_net, q_h),
-                           abs(sign_expr) < line_tol)
+        en = cycle_energetics(CycleInputs(freqs, pc, ph, xi))
+        bracket = nu_h * (1.0 - 2.0 * pc) + nu_c * (1.0 - 2.0 * ph)
+        return PhaseMapRow(ph, pc, en.w_fric, en.mode,
+                           abs(bracket) < line_tol)
 
     return _map_ordered(cell, cells, threads)

@@ -9,9 +9,10 @@ probability, the four stage energies are
     Q_c    = -nu_c (p_h - p_c) - nu_c xi (1 - 2 p_h)
     Q_h    =  nu_h (p_h - p_c) - nu_h xi (1 - 2 p_c)
 
-which close the first law exactly.  The net work splits into an adiabatic
-part -(nu_h - nu_c)(p_h - p_c) and a friction part
-xi [nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)]; the friction part is also
+which close the first law exactly.  The net work W_net = W_exp + W_comp is
+computed as the sum of an adiabatic part W_ad = -(nu_h - nu_c)(p_h - p_c)
+and a friction part W_fric = xi [nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)],
+the same factored form as the heats; the friction part is also
 reachable through the relative entropy between the finite-time post-stroke
 state and its quasi-static reference, which is how entropy production can
 be non-negative while friction work goes negative at inverted reservoirs.
@@ -102,25 +103,31 @@ def efficiency_closed_form(inputs: CycleInputs) -> float:
 
 def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
     """Closed-form stage energies for one cycle."""
-    nu_c, nu_h = inputs.freqs.nu_c, inputs.freqs.nu_h
-    p_c, p_h, xi = inputs.p_c, inputs.p_h, inputs.xi
+    freqs, p_c, p_h, xi = inputs
+    nu_c, nu_h = freqs
     dnu = nu_h - nu_c
+    dp = p_h - p_c
+    a_c = 1.0 - 2.0 * p_c
+    a_h = 1.0 - 2.0 * p_h
 
-    w_exp = dnu * p_c + nu_h * xi * (1.0 - 2.0 * p_c)
-    w_comp = -dnu * p_h + nu_c * xi * (1.0 - 2.0 * p_h)
-    # The heats factor out nu_c and nu_h so the population difference
+    w_exp = dnu * p_c + nu_h * xi * a_c
+    w_comp = -dnu * p_h + nu_c * xi * a_h
+    # The heats and the net work are factored so the population difference
     # cancels before the scaling, as in efficiency_closed_form: near the
-    # q_h = 0 edge, two rounded products lost every digit of q_h.
-    q_c = -nu_c * ((p_h - p_c) + xi * (1.0 - 2.0 * p_h))
-    q_h = nu_h * ((p_h - p_c) - xi * (1.0 - 2.0 * p_c))
-    w_net = w_exp + w_comp
-    w_ad = -dnu * (p_h - p_c)
-    w_fric = xi * (nu_h * (1.0 - 2.0 * p_c) + nu_c * (1.0 - 2.0 * p_h))
+    # q_h = 0 edge, two rounded products lost every digit of q_h, and near
+    # p_h = p_c, w_exp + w_comp rounded a net work of -9e-17 to 0.0.
+    q_c = -nu_c * (dp + xi * a_h)
+    q_h = nu_h * (dp - xi * a_c)
+    w_ad = -dnu * dp
+    w_fric = xi * (nu_h * a_c + nu_c * a_h)
+    w_net = w_ad + w_fric
 
     mode = _classify(w_net, q_h)
     eta = -w_net / q_h if mode == MODE_ENGINE else None
-    return CycleEnergetics(w_exp, w_comp, q_c, q_h, w_net, w_ad, w_fric,
-                           eta, mode)
+    # tuple.__new__ skips the frame of the generated namedtuple __new__,
+    # which checks nothing; every phase-map cell comes through here.
+    return tuple.__new__(CycleEnergetics, (w_exp, w_comp, q_c, q_h, w_net,
+                                           w_ad, w_fric, eta, mode))
 
 
 def _trace_product(a: Matrix2, b: Matrix2) -> float:

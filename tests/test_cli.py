@@ -224,8 +224,11 @@ class TestWindows:
         assert rows[0]["empty"] == "1"
 
     def test_requires_a_population(self):
-        code, _, err = run_cli("windows", "--nu-c", "2", "--nu-h", "3.6")
+        code, out, err = run_cli("windows", "--nu-c", "2", "--nu-h", "3.6")
         assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("otto-tls: ")
 
 
 class TestErrorsAndVerify:
@@ -266,6 +269,25 @@ class TestErrorsAndVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("otto-tls: grid bounds must be finite, got ")
         assert err.split()[-1] in ("inf", "-inf", "nan")
+
+    @pytest.mark.parametrize("argv", [
+        ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+         "--ph", "0.8", "--threads", "2"),
+        ("xi", "--nu-c", "2", "--nu-h", "3.6", "--threads", "2"),
+        ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
+         "--xi", "0.25", "--threads", "2"),
+        ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "0.8",
+         "--xi-tol", "1e-8"),
+        ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "0.8",
+         "--threads", "2"),
+    ])
+    def test_option_without_effect_rejected(self, argv):
+        # --threads belongs to phase-map alone, and windows never integrates.
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
 
     def test_unwritable_output_one_line_error(self, tmp_path):
         path = tmp_path / "missing" / "x.csv"

@@ -136,6 +136,8 @@ NAN, INF = math.nan, math.inf
     (lambda: Hermitian2(1j, 0, 0, 1), ConstraintViolation, "not real"),
     (lambda: Unitary2(1, 1, 0, 1), ConstraintViolation, "not unitary"),
     (lambda: Density2(0.5, 0.1, 0.2, 0.5), ConstraintViolation, "not Hermitian"),
+    (lambda: Density2(0.5 + 0.1j, 0.2, 0.2, 0.5 - 0.1j), ConstraintViolation,
+     "diagonal entries are not real"),
     (lambda: Density2(0.6, 0, 0, 0.6), ConstraintViolation, "trace is not 1"),
     (lambda: Density2(1.5, 0, 0, -0.5), ConstraintViolation, "negative eigenvalue"),
     (lambda: CycleFrequencies(0.0, 1.0), DomainError, "nu_c must be positive"),

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from otto_tls import (CycleFrequencies, DomainError, IntegratorConfig,
-                      PhaseMapSpec, TauSweepSpec, adiabatic_efficiency,
+from otto_tls import (CycleFrequencies, CycleInputs, DomainError,
+                      IntegratorConfig, PhaseMapSpec, TauSweepSpec,
+                      adiabatic_efficiency, cycle_energetics,
                       negative_friction_window, run_phase_map, run_tau_sweep,
                       zero_friction_line)
 from otto_tls.sweep import linear_spaced, log_spaced
@@ -149,6 +150,20 @@ class TestPhaseMap:
         spec = PhaseMapSpec(FREQS, ph_values=[0.0, 1.0], pc_values=[0.0, 0.5])
         assert [(r.p_h, r.p_c) for r in run_phase_map(spec)] == \
                [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
+
+    @pytest.mark.parametrize("xi, equal_cell_mode", [
+        (0.0, MODE_ENGINE), (0.25, "not-engine(w_net>=0, q_h<=0)")])
+    def test_cells_match_cycle_energetics(self, xi, equal_cell_mode):
+        # The grid holds the equal-population cell whose net work at xi = 0
+        # is -9e-17, so its mode depends on how w_net is rounded.
+        spec = PhaseMapSpec(FREQS, ph_values=[0.3, 0.48291457286432166, 0.9],
+                            pc_values=[0.1, 0.4829145728643216], xi=xi)
+        rows = run_phase_map(spec, threads=1)
+        assert len(rows) == 6
+        for row in rows:
+            en = cycle_energetics(CycleInputs(FREQS, row.p_c, row.p_h, xi))
+            assert (row.w_fric, row.mode) == (en.w_fric, en.mode)
+        assert rows[3].mode == equal_cell_mode
 
     def test_determinism_across_threads(self):
         a = run_phase_map(self.spec(), threads=1)

@@ -85,6 +85,14 @@ class TestClosedForms:
         assert abs(en.w_net - (en.w_exp + en.w_comp)) <= 1e-12
         assert abs(en.w_net - (en.w_ad + en.w_fric)) <= 1e-12
 
+    def test_net_work_keeps_its_sign_at_equal_populations(self):
+        # w_exp + w_comp rounds this net work of -9e-17 to 0.0 and calls
+        # the cycle not-engine; w_ad + w_fric keeps the sign.
+        en = cycle_energetics(CycleInputs(FREQS, 0.4829145728643216,
+                                          0.48291457286432166, 0.0))
+        assert en.w_net == en.w_ad + en.w_fric
+        assert en.w_net < 0.0 and en.mode == MODE_ENGINE
+
     @given(populations, populations, xis)
     @settings(max_examples=300, deadline=None)
     def test_efficiency_consistency(self, p_c, p_h, xi):
