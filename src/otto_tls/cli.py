@@ -179,10 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tau_grid_us(args) -> list[float]:
+    """Stroke durations (us) from --tau-min, --tau-max, --points, --linear."""
+    spacing = linear_spaced if args.linear else log_spaced
+    return spacing(args.tau_min, args.tau_max, args.points)
+
+
 def _cmd_xi(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
-    spacing = linear_spaced if args.linear else log_spaced
-    taus_us = spacing(args.tau_min, args.tau_max, args.points)
+    taus_us = _tau_grid_us(args)
     taus = [StrokeDuration(t * 1e-3).tau for t in taus_us]
     cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
     with _output(args.output) as fh:
@@ -222,9 +227,8 @@ def _cmd_cycle(args) -> int:
 def _cmd_tau_sweep(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
-    spec = TauSweepSpec(freqs, p_c, p_h, args.tau_min, args.tau_max,
-                        args.points, IntegratorConfig(xi_tolerance=args.xi_tol),
-                        log_spacing=not args.linear)
+    spec = TauSweepSpec(freqs, p_c, p_h, _tau_grid_us(args),
+                        IntegratorConfig(xi_tolerance=args.xi_tol))
     with _output(args.output) as fh:
         rows = run_tau_sweep(spec)
         _emit(fh, ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c",

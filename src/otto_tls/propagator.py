@@ -40,30 +40,25 @@ XI_MAX_SLACK = 1e-9
 
 
 class IntegratorConfig(namedtuple("IntegratorConfig",
-                                  "initial_steps xi_tolerance max_doublings")):
+                                  "xi_tolerance max_doublings")):
     """Step-doubling control for the stroke integrator.
 
-    initial_steps of None selects max(16, ceil(16 * nu_h * tau)) at run
-    time, a start sized for CF4: 16 steps per Larmor period 1/nu_h, and
-    never fewer than 16.  Doubling then stops once |xi_2n - xi_n| is below
-    xi_tolerance.
+    Doubling starts at max(16, ceil(16 * nu_h * tau)) steps (resolve_steps),
+    a start sized for CF4: 16 steps per Larmor period 1/nu_h, and never
+    fewer than 16.  It stops once |xi_2n - xi_n| is below xi_tolerance, or
+    fails after max_doublings.
     """
 
     __slots__ = ()
 
-    def __new__(cls, initial_steps: int | None = None,
-                xi_tolerance: float = 1e-9, max_doublings: int = 20):
-        if initial_steps is not None and initial_steps < 2:
-            raise DomainError("initial_steps must be at least 2")
+    def __new__(cls, xi_tolerance: float = 1e-9, max_doublings: int = 20):
         if not (0.0 < xi_tolerance < 1e-2):
             raise DomainError("xi_tolerance must lie in (0, 1e-2)")
         if max_doublings < 1:
             raise DomainError("max_doublings must be positive")
-        return tuple.__new__(cls, (initial_steps, xi_tolerance, max_doublings))
+        return tuple.__new__(cls, (xi_tolerance, max_doublings))
 
     def resolve_steps(self, tau: float, freqs: CycleFrequencies) -> int:
-        if self.initial_steps is not None:
-            return self.initial_steps
         return max(16, math.ceil(16.0 * freqs.nu_h * tau))
 
 
@@ -252,7 +247,7 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         if err < cfg.xi_tolerance:
             return PropagatorResult(Unitary2(*raw), n, err, xi)
         xi_prev = xi
-    best = PropagatorResult(Unitary2(*raw), n, abs(xi - xi_prev), xi)
+    best = PropagatorResult(Unitary2(*raw), n, err, xi)
     raise ConvergenceError(
         f"xi not converged to {cfg.xi_tolerance} after "
         f"{cfg.max_doublings} doublings (tau={tau} ms)", best=best)
@@ -290,15 +285,6 @@ def propagate_fixed_steps(tau: float, freqs: CycleFrequencies, steps: int,
     return Unitary2(*_propagate(tau, freqs, steps, compression))
 
 
-def _expansion_or_best(tau: float, freqs: CycleFrequencies,
-                       cfg: IntegratorConfig) -> tuple[PropagatorResult, bool]:
-    """evolve_expansion and True, or its best estimate and False on failure."""
-    try:
-        return evolve_expansion(tau, freqs, cfg), True
-    except ConvergenceError as exc:
-        return exc.best, False
-
-
 class XiPoint(namedtuple("XiPoint", "tau xi error_estimate converged")):
     """One sweep sample; converged is False when doubling ran out."""
 
@@ -307,13 +293,17 @@ class XiPoint(namedtuple("XiPoint", "tau xi error_estimate converged")):
 
 def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,
              cfg: IntegratorConfig = IntegratorConfig()) -> list[XiPoint]:
-    """Converged xi for each stroke duration, in input order.
+    """Converged xi for each stroke duration (ms), in input order.
 
-    Per-point convergence failures are flagged in the output instead of
-    aborting the sweep.
+    The one tau loop: the xi subcommand and run_tau_sweep both call it.  A
+    point whose doubling runs out is flagged converged=False and carries
+    the ConvergenceError's best estimate; it does not abort the sweep.
     """
     out = []
     for tau in tau_values:
-        res, converged = _expansion_or_best(tau, freqs, cfg)
+        try:
+            res, converged = evolve_expansion(tau, freqs, cfg), True
+        except ConvergenceError as exc:
+            res, converged = exc.best, False
         out.append(XiPoint(tau, res.xi, res.xi_error_estimate, converged))
     return out

@@ -1,13 +1,16 @@
-"""Parameter sweeps: xi(tau) curves, cycle tau-sweeps, and the friction map.
+"""Parameter sweeps: cycle tau-sweeps and the friction map.
 
-Every energy comes from thermo.cycle_energetics: a tau-sweep row and a
-phase-map cell at the same (p_c, p_h, xi) report the same friction work
-and mode.  Sweep points are independent pure computations, evaluated in
-input order.  Only the phase map may run its cells on a thread pool
-(threads); it assembles them in input order, so its output is bitwise
-deterministic whatever the thread count.  xi_sweep and run_tau_sweep loop
-serially: their per-point work is pure Python that holds the interpreter
-lock, and a pool measured slower.
+A sweep spec holds its grid: TauSweepSpec the stroke durations, PhaseMapSpec
+the population values; log_spaced and linear_spaced build them.
+run_tau_sweep integrates its grid through propagator.xi_sweep, the loop
+behind the xi(tau) curve, and every energy comes from
+thermo.cycle_energetics: a tau-sweep row and a phase-map cell at the same
+(p_c, p_h, xi) report the same friction work and mode.  Sweep points are
+independent pure computations, evaluated in input order.  Only the phase
+map may run its cells on a thread pool (threads); it assembles them in
+input order, so its output is bitwise deterministic whatever the thread
+count.  The tau loop is serial: its per-point work is pure Python that
+holds the interpreter lock, and a pool measured slower.
 """
 
 from __future__ import annotations
@@ -18,13 +21,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .propagator import IntegratorConfig, _expansion_or_best, evolve_expansion
+from .propagator import IntegratorConfig, evolve_expansion, xi_sweep
 from .thermo import CycleInputs, cycle_energetics
 from .tls import CycleFrequencies, StrokeDuration
-
-DEFAULT_TAU_MIN_US = 10.0
-DEFAULT_TAU_MAX_US = 1000.0
-DEFAULT_TAU_POINTS = 100
 
 
 def _check_finite_bounds(lo: float, hi: float) -> None:
@@ -64,30 +63,22 @@ def _map_ordered(fn, items, threads: int | None):
         return list(pool.map(fn, items))
 
 
-class TauSweepSpec(namedtuple("TauSweepSpec", (
-        "freqs p_c p_h tau_min_us tau_max_us points cfg log_spacing"))):
-    """Cycle sweep over stroke durations (tau bounds in microseconds)."""
+class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus_us cfg")):
+    """Cycle sweep over the stroke durations taus_us (microseconds).
+
+    The grid is taken as given, in its order; build it with log_spaced or
+    linear_spaced.  Every duration must be positive and finite.
+    """
 
     __slots__ = ()
 
     def __new__(cls, freqs: CycleFrequencies, p_c: float, p_h: float,
-                tau_min_us: float = DEFAULT_TAU_MIN_US,
-                tau_max_us: float = DEFAULT_TAU_MAX_US,
-                points: int = DEFAULT_TAU_POINTS,
-                cfg: IntegratorConfig = IntegratorConfig(),
-                log_spacing: bool = True):
-        if not (0.0 < tau_min_us < tau_max_us):
-            raise DomainError("need 0 < tau_min < tau_max")
-        if points < 2:
-            raise DomainError("points must be at least 2")
+                taus_us: Sequence[float],
+                cfg: IntegratorConfig = IntegratorConfig()):
         CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
-        return tuple.__new__(cls, (freqs, p_c, p_h, tau_min_us, tau_max_us,
-                                   points, cfg, log_spacing))
-
-    def tau_grid_us(self) -> list[float]:
-        if self.log_spacing:
-            return log_spaced(self.tau_min_us, self.tau_max_us, self.points)
-        return linear_spaced(self.tau_min_us, self.tau_max_us, self.points)
+        for tau_us in taus_us:
+            StrokeDuration(tau_us * 1e-3)  # validates tau
+        return tuple.__new__(cls, (freqs, p_c, p_h, taus_us, cfg))
 
 
 class TauSweepRow(namedtuple("TauSweepRow",
@@ -96,18 +87,19 @@ class TauSweepRow(namedtuple("TauSweepRow",
 
 
 def run_tau_sweep(spec: TauSweepSpec) -> list[TauSweepRow]:
-    """Propagate each stroke duration and evaluate the cycle energetics.
+    """xi_sweep over spec.taus_us, then the cycle energetics of each point.
 
-    Convergence failures are flagged per row (the best available xi is still
-    used) and never abort the sweep.
+    A point whose doubling runs out is flagged converged=False and keeps
+    the best available xi; it never aborts the sweep.  The energetics take
+    that xi clamped to [0, 1/2]; the row reports it unclamped.
     """
+    points = xi_sweep([t * 1e-3 for t in spec.taus_us], spec.freqs, spec.cfg)
     rows = []
-    for tau_us in spec.tau_grid_us():
-        res, converged = _expansion_or_best(tau_us * 1e-3, spec.freqs, spec.cfg)
-        xi = min(max(res.xi, 0.0), 0.5)
+    for tau_us, pt in zip(spec.taus_us, points):
+        xi = min(max(pt.xi, 0.0), 0.5)
         en = cycle_energetics(CycleInputs(spec.freqs, spec.p_c, spec.p_h, xi))
-        rows.append(TauSweepRow(tau_us, res.xi, res.xi_error_estimate,
-                                converged, en))
+        rows.append(TauSweepRow(tau_us, pt.xi, pt.error_estimate,
+                                pt.converged, en))
     return rows
 
 

@@ -132,9 +132,9 @@ def test_criterion_6_entropy_production_route():
 
 
 def test_criterion_7_negative_temperature_sweep():
-    taus = (10.0, 1000.0, 25)
+    taus = log_spaced(10.0, 1000.0, 25)
 
-    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, *taus))
+    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, taus))
     etas = [r.energetics.eta for r in rows]
     assert all(r.energetics.mode == MODE_ENGINE for r in rows)
     assert all(r.energetics.q_h > 0 for r in rows)
@@ -142,12 +142,12 @@ def test_criterion_7_negative_temperature_sweep():
     assert all(e > ETA_AD for e in etas)
     assert etas[0] == max(etas)
 
-    rows0 = run_tau_sweep(TauSweepSpec(FREQS, 1.0 / 3.0, 0.8, *taus))
+    rows0 = run_tau_sweep(TauSweepSpec(FREQS, 1.0 / 3.0, 0.8, taus))
     assert all(abs(r.energetics.w_fric) <= 1e-10 for r in rows0)
     w_nets = [r.energetics.w_net for r in rows0]
     assert max(w_nets) - min(w_nets) <= 1e-9
 
-    rows_p = run_tau_sweep(TauSweepSpec(FREQS, 0.25, 0.8, *taus))
+    rows_p = run_tau_sweep(TauSweepSpec(FREQS, 0.25, 0.8, taus))
     assert all(r.energetics.w_fric > 0 for r in rows_p if r.xi > 1e-12)
     report(7, "p_c=0.4 engine everywhere with eta>eta_ad maximal at short "
               "tau; p_c=1/3 frictionless with constant W_net; p_c=0.25 "
@@ -155,7 +155,8 @@ def test_criterion_7_negative_temperature_sweep():
 
 
 def test_criterion_8_positive_temperature_sweep():
-    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.2, 0.4, 10.0, 1000.0, 25))
+    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.2, 0.4,
+                                      log_spaced(10.0, 1000.0, 25)))
     assert all(r.energetics.w_fric > 0 for r in rows if r.xi > 1e-12)
     engine = [r.energetics.mode == MODE_ENGINE for r in rows]
     assert not engine[0] and engine[-1]

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import math
@@ -11,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import otto_tls
-from otto_tls.cli import main
+from otto_tls.cli import build_parser, main
 
 UNITS_LINE = "# energy unit: h*kHz; time unit: us"
 
@@ -54,6 +55,33 @@ class TestXi:
         _, out1, _ = run_cli(*args)
         _, out2, _ = run_cli(*args)
         assert out1 == out2
+
+
+class TestTauGrid:
+    @pytest.mark.parametrize("spacing", [(), ("--linear",)],
+                             ids=["log", "linear"])
+    def test_xi_and_tau_sweep_share_one_grid(self, spacing):
+        grid = ("--nu-c", "2", "--nu-h", "3.6", "--tau-min", "20",
+                "--tau-max", "400", "--points", "6", *spacing)
+        code_xi, out_xi, _ = run_cli("xi", *grid)
+        code_sw, out_sw, _ = run_cli("tau-sweep", *grid, "--pc", "0.4",
+                                     "--ph", "0.8")
+        assert code_xi == code_sw == 0
+        _, xi_rows = parse_csv(out_xi)
+        _, sweep_rows = parse_csv(out_sw)
+        assert len(xi_rows) == 6
+        assert [(r["tau_us"], r["xi"]) for r in xi_rows] == \
+               [(r["tau_us"], r["xi"]) for r in sweep_rows]
+
+    def test_bad_bounds_give_the_same_message(self):
+        bounds = ("--nu-c", "2", "--nu-h", "3.6", "--tau-min", "100",
+                  "--tau-max", "10")
+        code_xi, _, err_xi = run_cli("xi", *bounds)
+        code_sw, _, err_sw = run_cli("tau-sweep", *bounds, "--pc", "0.4",
+                                     "--ph", "0.8")
+        assert code_xi == code_sw == 1
+        assert err_xi == err_sw == \
+               "otto-tls: need 0 < lo < hi, got 100.0, 10.0\n"
 
 
 class TestCycle:
@@ -335,6 +363,8 @@ class TestErrorsAndVerify:
          "--tau", "-5"),
         ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--tau", "-5"),
         ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "1.5"),
+        ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+         "--ph", "0.8", "--tau-max", "inf"),
     ])
     def test_invalid_input_leaves_output_untouched(self, tmp_path, argv):
         path = tmp_path / "kept.csv"
@@ -380,3 +410,31 @@ def test_startup_imports_stay_lean():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+OPTIONS = {
+    "xi": "-h --help --nu-c --nu-h --tau-min --tau-max --points --linear "
+          "--xi-tol -o --output",
+    "cycle": "-h --help --nu-c --nu-h --pc --uc --ph --uh --xi --tau "
+             "--xi-tol -o --output",
+    "tau-sweep": "-h --help --nu-c --nu-h --pc --uc --ph --uh --tau-min "
+                 "--tau-max --points --linear --xi-tol -o --output",
+    "phase-map": "-h --help --nu-c --nu-h --xi --tau --ph-min --ph-max "
+                 "--ph-points --pc-min --pc-max --pc-points --threads "
+                 "--xi-tol -o --output",
+    "windows": "-h --help --nu-c --nu-h --ph --pc -o --output",
+    "verify": "-h --help --quick",
+}
+
+
+def test_option_strings_are_pinned():
+    # Every option of every subcommand, listed here so that a new knob is
+    # a reviewed change to this test.
+    parser = build_parser()
+    top = [s for a in parser._actions for s in a.option_strings]
+    assert top == ["-h", "--help", "--version"]
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: " ".join(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    assert options == OPTIONS

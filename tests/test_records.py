@@ -16,6 +16,7 @@ from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       exp_neg_i_h, exponent_from_population,
                       friction_from_divergence, gibbs_population, gibbs_state,
                       run_phase_map, run_tau_sweep, xi_sweep)
+from otto_tls.sweep import linear_spaced, log_spaced
 
 FREQS = CycleFrequencies(2.0, 3.6)
 H = Hermitian2(0.3, 0.2 + 0.1j, 0.2 - 0.1j, -0.4)
@@ -30,15 +31,16 @@ SAMPLES = [
     FREQS,
     StrokeDuration(0.3),
     ReservoirSpec(-1.2),
-    IntegratorConfig(initial_steps=32, xi_tolerance=1e-8),
+    IntegratorConfig(xi_tolerance=1e-8, max_doublings=12),
     evolve_expansion(0.3, FREQS),
     xi_sweep([0.3], FREQS)[0],
     INPUTS,
     cycle_energetics(INPUTS),
     friction_from_divergence(0.4, exponent_from_population(0.4), U,
                              "expansion", FREQS),
-    TauSweepSpec(FREQS, 0.4, 0.8, points=3),
-    run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, points=2))[0],
+    TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(10.0, 1000.0, 3)),
+    run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8,
+                               log_spaced(10.0, 1000.0, 2)))[0],
     PhaseMapSpec(FREQS, [0.0, 1.0], [0.0, 0.5], tau_us=300.0),
     run_phase_map(PhaseMapSpec(FREQS, [0.2, 0.8], [0.1, 0.4]), threads=1)[0],
 ]
@@ -51,6 +53,34 @@ def test_samples_cover_every_public_record():
     records = {c for c in public if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in SAMPLES}
     assert len(records) == 17  # 14 records and the three Matrix2 roles
+
+
+RECORD_FIELDS = {
+    "Matrix2": "a11 a12 a21 a22",
+    "Hermitian2": "a11 a12 a21 a22",
+    "Unitary2": "a11 a12 a21 a22",
+    "Density2": "a11 a12 a21 a22",
+    "CycleFrequencies": "nu_c nu_h",
+    "ReservoirSpec": "u",
+    "StrokeDuration": "tau",
+    "IntegratorConfig": "xi_tolerance max_doublings",
+    "PropagatorResult": "U steps_used xi_error_estimate xi",
+    "XiPoint": "tau xi error_estimate converged",
+    "CycleInputs": "freqs p_c p_h xi",
+    "CycleEnergetics": "w_exp w_comp q_c q_h w_net w_ad w_fric eta mode",
+    "StrokeFriction": "work divergence inv_beta_eff singular_reference",
+    "TauSweepSpec": "freqs p_c p_h taus_us cfg",
+    "TauSweepRow": "tau_us xi xi_error converged energetics",
+    "PhaseMapSpec": "freqs ph_values pc_values xi tau_us cfg",
+    "PhaseMapRow": "p_h p_c w_fric mode on_zero_line",
+}
+
+
+def test_record_fields_are_pinned():
+    # Every settable or reported value of the public API, listed here so
+    # that adding or dropping a field is a reviewed change to this test.
+    fields = {type(r).__name__: " ".join(r._fields) for r in SAMPLES}
+    assert fields == RECORD_FIELDS
 
 
 @RECORDS
@@ -84,17 +114,16 @@ def test_records_are_tuples():
 
 class TestConstruction:
     def test_integrator_config_keywords_and_defaults(self):
-        assert IntegratorConfig() == (None, 1e-9, 20)
+        assert IntegratorConfig() == (1e-9, 20)
         cfg = IntegratorConfig(xi_tolerance=1e-8)
-        assert cfg == IntegratorConfig(None, 1e-8, 20)
-        assert cfg.initial_steps is None and cfg.max_doublings == 20
+        assert cfg == IntegratorConfig(1e-8, 20)
+        assert cfg.xi_tolerance == 1e-8 and cfg.max_doublings == 20
 
     def test_tau_sweep_spec_defaults(self):
-        spec = TauSweepSpec(FREQS, 0.4, 0.8, log_spacing=False)
-        assert (spec.tau_min_us, spec.tau_max_us, spec.points) == (
-            10.0, 1000.0, 100)
-        assert spec.cfg == IntegratorConfig() and spec.log_spacing is False
-        grid = spec.tau_grid_us()
+        spec = TauSweepSpec(FREQS, 0.4, 0.8, linear_spaced(10.0, 1000.0, 100))
+        grid = spec.taus_us
+        assert (grid[0], grid[-1], len(grid)) == (10.0, 1000.0, 100)
+        assert spec.cfg == IntegratorConfig()
         assert grid[1] - grid[0] == pytest.approx(grid[-1] - grid[-2])
 
     def test_phase_map_spec_defaults(self):
@@ -119,6 +148,7 @@ class TestConstruction:
         lambda: CycleFrequencies(2.0, 3.6, 4.0),
         lambda: IntegratorConfig(xi_tol=1e-8),
         lambda: PhaseMapRow(0.2, 0.1, 0.5, "engine"),
+        lambda: TauSweepSpec(FREQS, 0.4, 0.8),  # the grid has no default
     ])
     def test_wrong_arguments_rejected(self, build):
         with pytest.raises(TypeError):
@@ -150,7 +180,6 @@ NAN, INF = math.nan, math.inf
      "tau must be positive and finite"),
     (lambda: ReservoirSpec(INF), DomainError, "exponent must be finite"),
     (lambda: ReservoirSpec(NAN), DomainError, "exponent must be finite"),
-    (lambda: IntegratorConfig(initial_steps=1), DomainError, "initial_steps"),
     (lambda: IntegratorConfig(xi_tolerance=0.0), DomainError, "xi_tolerance"),
     (lambda: IntegratorConfig(xi_tolerance=0.02), DomainError, "xi_tolerance"),
     (lambda: IntegratorConfig(max_doublings=0), DomainError, "max_doublings"),
@@ -159,13 +188,14 @@ NAN, INF = math.nan, math.inf
     (lambda: CycleInputs(FREQS, -0.1, 0.8, 0.25), DomainError, "p_c must lie"),
     (lambda: CycleInputs(FREQS, 0.4, 1.1, 0.25), DomainError, "p_h must lie"),
     (lambda: CycleInputs(FREQS, 0.4, 0.8, 0.6), DomainError, "xi must lie"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, 100.0, 10.0), DomainError,
-     "tau_min < tau_max"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, 0.0), DomainError,
-     "tau_min < tau_max"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, points=1), DomainError,
-     "points must be at least 2"),
-    (lambda: TauSweepSpec(FREQS, 1.5, 0.8), DomainError, "p_c must lie"),
+    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [100.0, 0.0]), DomainError,
+     "tau must be positive and finite"),
+    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.0, 1000.0]), DomainError,
+     "tau must be positive and finite"),
+    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [10.0, INF]), DomainError,
+     "tau must be positive and finite"),
+    (lambda: TauSweepSpec(FREQS, 1.5, 0.8, [10.0]), DomainError,
+     "p_c must lie"),
     (lambda: PhaseMapSpec(FREQS, [0.5], [0.1, 0.2]), DomainError,
      "ph grid must have at least 2 points"),
     (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.2, 0.1]), DomainError,

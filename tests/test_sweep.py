@@ -16,9 +16,10 @@ FREQS = CycleFrequencies(2.0, 3.6)
 FAST_CFG = IntegratorConfig(xi_tolerance=1e-8)
 
 
-def sweep(p_c, p_h, points=15, **kw):
-    return run_tau_sweep(TauSweepSpec(FREQS, p_c, p_h, 10.0, 1000.0, points,
-                                      FAST_CFG, **kw))
+def sweep(p_c, p_h, points=15):
+    return run_tau_sweep(TauSweepSpec(FREQS, p_c, p_h,
+                                      log_spaced(10.0, 1000.0, points),
+                                      FAST_CFG))
 
 
 class TestGrids:
@@ -34,7 +35,7 @@ class TestGrids:
         with pytest.raises(DomainError):
             log_spaced(10.0, 5.0, 4)
         with pytest.raises(DomainError):
-            TauSweepSpec(FREQS, 0.4, 0.8, 100.0, 10.0, 10)
+            TauSweepSpec(FREQS, 0.4, 0.8, [100.0, -10.0])
 
     @pytest.mark.parametrize("spacing", [log_spaced, linear_spaced])
     @pytest.mark.parametrize("lo, hi, bad", [
