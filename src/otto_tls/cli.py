@@ -30,8 +30,8 @@ from .errors import OttoError
 from .propagator import (IntegratorConfig, evolve_expansion,
                          integrate_compression, transition_probability,
                          xi_sweep)
-from .sweep import (PhaseMapSpec, TauSweepSpec, linear_spaced, log_spaced,
-                    run_phase_map, run_tau_sweep, zero_friction_line)
+from .sweep import (PhaseMapSpec, TauSweepSpec, linear_spaced, run_phase_map,
+                    run_tau_sweep, tau_grid_us, zero_friction_line)
 from .thermo import (CycleInputs, adiabatic_efficiency, cycle_energetics,
                      energetics_from_states, friction_from_divergence,
                      hot_population_window, negative_friction_window)
@@ -181,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _tau_grid_us(args) -> list[float]:
     """Stroke durations (us) from --tau-min, --tau-max, --points, --linear."""
-    spacing = linear_spaced if args.linear else log_spaced
-    return spacing(args.tau_min, args.tau_max, args.points)
+    return tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
 
 
 def _cmd_xi(args) -> int:

@@ -1,7 +1,8 @@
 """Parameter sweeps: cycle tau-sweeps and the friction map.
 
 A sweep spec holds its grid: TauSweepSpec the stroke durations, PhaseMapSpec
-the population values; log_spaced and linear_spaced build them.
+the population values; log_spaced and linear_spaced build them, and
+tau_grid_us builds a tau grid from its bounds.
 run_tau_sweep integrates its grid through propagator.xi_sweep, the loop
 behind the xi(tau) curve, and every energy comes from
 thermo.cycle_energetics: a tau-sweep row and a phase-map cell at the same
@@ -50,6 +51,17 @@ def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
     if points < 2:
         raise DomainError("points must be at least 2")
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+
+
+def tau_grid_us(tau_min: float, tau_max: float, points: int,
+                linear: bool = False) -> list[float]:
+    """Stroke durations (us) from tau bounds: log-spaced, or linear."""
+    _check_finite_bounds(tau_min, tau_max)
+    if not (0.0 < tau_min < tau_max):
+        raise DomainError(
+            f"need 0 < tau_min < tau_max, got {tau_min}, {tau_max}")
+    spacing = linear_spaced if linear else log_spaced
+    return spacing(tau_min, tau_max, points)
 
 
 def _map_ordered(fn, items, threads: int | None):

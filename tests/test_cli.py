@@ -81,7 +81,7 @@ class TestTauGrid:
                                      "--ph", "0.8")
         assert code_xi == code_sw == 1
         assert err_xi == err_sw == \
-               "otto-tls: need 0 < lo < hi, got 100.0, 10.0\n"
+               "otto-tls: need 0 < tau_min < tau_max, got 100.0, 10.0\n"
 
 
 class TestCycle:

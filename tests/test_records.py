@@ -16,7 +16,7 @@ from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       exp_neg_i_h, exponent_from_population,
                       friction_from_divergence, gibbs_population, gibbs_state,
                       run_phase_map, run_tau_sweep, xi_sweep)
-from otto_tls.sweep import linear_spaced, log_spaced
+from otto_tls.sweep import linear_spaced, log_spaced, tau_grid_us
 
 FREQS = CycleFrequencies(2.0, 3.6)
 H = Hermitian2(0.3, 0.2 + 0.1j, 0.2 - 0.1j, -0.4)
@@ -188,6 +188,11 @@ NAN, INF = math.nan, math.inf
     (lambda: CycleInputs(FREQS, -0.1, 0.8, 0.25), DomainError, "p_c must lie"),
     (lambda: CycleInputs(FREQS, 0.4, 1.1, 0.25), DomainError, "p_h must lie"),
     (lambda: CycleInputs(FREQS, 0.4, 0.8, 0.6), DomainError, "xi must lie"),
+    (lambda: tau_grid_us(100.0, 10.0, 50), DomainError, "tau_min < tau_max"),
+    (lambda: tau_grid_us(0.0, 1000.0, 50, linear=True), DomainError,
+     "tau_min < tau_max"),
+    (lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
+     "points must be at least 2"),
     (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [100.0, 0.0]), DomainError,
      "tau must be positive and finite"),
     (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.0, 1000.0]), DomainError,
