@@ -25,16 +25,15 @@ from .thermo import (CycleEnergetics, CycleInputs, StrokeFriction,
                      energetics_from_states, friction_from_divergence,
                      hot_population_window, negative_friction_window,
                      relative_entropy)
-from .tls import (CycleFrequencies, ReservoirSpec, StrokeDuration,
-                  exponent_from_population, gibbs_population, gibbs_state,
-                  hamiltonian_compression, hamiltonian_expansion,
-                  projector_excited, ramp_frequency)
+from .tls import (CycleFrequencies, StrokeDuration, exponent_from_population,
+                  gibbs_population, gibbs_state, hamiltonian_compression,
+                  hamiltonian_expansion, projector_excited, ramp_frequency)
 
 __all__ = [
     "Matrix2", "Hermitian2", "Unitary2", "Density2",
     "eig_hermitian2", "exp_neg_i_h",
     "OttoError", "ConstraintViolation", "DomainError", "ConvergenceError",
-    "CycleFrequencies", "ReservoirSpec", "StrokeDuration",
+    "CycleFrequencies", "StrokeDuration",
     "gibbs_population", "exponent_from_population", "gibbs_state",
     "projector_excited", "ramp_frequency",
     "hamiltonian_expansion", "hamiltonian_compression",

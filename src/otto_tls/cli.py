@@ -8,7 +8,8 @@ Subcommands:
   windows    negative-friction population intervals
   verify     built-in self-check suite (exit 0 on pass)
 
-Times are accepted and printed in microseconds, energies in h*kHz.  CSV
+Times are accepted and printed in microseconds, energies in h*kHz; the
+library below works in ms, and each command converts its times once.  CSV
 output starts with a '#' comment line naming the units and is byte-stable
 for identical inputs; a field holding a comma or a double quote is quoted
 as in RFC 4180.  Exit codes: 0 success; 1 a domain error, a verification
@@ -173,21 +174,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc", type=float, help="cold population: report the p_h window")
     _add_output_arg(p)
 
-    p = sub.add_parser("verify", help="run the built-in self-check suite")
-    p.add_argument("--quick", action="store_true",
-                   help="reduce sample counts for a faster pass")
+    sub.add_parser("verify", help="run the built-in self-check suite")
     return parser
 
 
-def _tau_grid_us(args) -> list[float]:
-    """Stroke durations (us) from --tau-min, --tau-max, --points, --linear."""
-    return tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
+def _tau_grid(args) -> tuple[list[float], list[float]]:
+    """Stroke durations from --tau-min, --tau-max, --points, --linear.
+
+    Returned in us, as printed, and in ms, as integrated: the one
+    conversion of the grid.
+    """
+    taus_us = tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
+    return taus_us, [StrokeDuration(t * 1e-3).tau for t in taus_us]
+
+
+def _xi_source(args, freqs: CycleFrequencies):
+    """xi from --xi, or from integrating a stroke of --tau us.
+
+    --tau is checked here, so call this before -o opens; the returned
+    function does the integration, so call that after.
+    """
+    if args.tau is None:
+        return lambda: args.xi
+    tau = StrokeDuration(args.tau * 1e-3).tau
+    cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
+    return lambda: evolve_expansion(tau, freqs, cfg).xi
 
 
 def _cmd_xi(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
-    taus_us = _tau_grid_us(args)
-    taus = [StrokeDuration(t * 1e-3).tau for t in taus_us]
+    taus_us, taus = _tau_grid(args)
     cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
     with _output(args.output) as fh:
         points = xi_sweep(taus, freqs, cfg)
@@ -202,12 +218,9 @@ def _cmd_cycle(args) -> int:
     p_c, p_h = _populations(args)
     xi = args.xi
     CycleInputs(freqs, p_c, p_h, 0.0 if xi is None else xi)  # validates
-    if xi is None:
-        tau = StrokeDuration(args.tau * 1e-3).tau
-        cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
+    xi_of = _xi_source(args, freqs)
     with _output(args.output) as fh:
-        if xi is None:
-            xi = evolve_expansion(tau, freqs, cfg).xi
+        xi = xi_of()
         en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
         fh.write(UNITS_COMMENT + "\n")
         for name, value in [("nu_c", freqs.nu_c), ("nu_h", freqs.nu_h),
@@ -226,29 +239,31 @@ def _cmd_cycle(args) -> int:
 def _cmd_tau_sweep(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
-    spec = TauSweepSpec(freqs, p_c, p_h, _tau_grid_us(args),
+    taus_us, taus = _tau_grid(args)
+    spec = TauSweepSpec(freqs, p_c, p_h, taus,
                         IntegratorConfig(xi_tolerance=args.xi_tol))
     with _output(args.output) as fh:
         rows = run_tau_sweep(spec)
         _emit(fh, ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c",
                    "eta", "mode", "converged"],
-              [(r.tau_us, r.xi, r.energetics.w_net, r.energetics.w_ad,
+              [(t, r.xi, r.energetics.w_net, r.energetics.w_ad,
                 r.energetics.w_fric, r.energetics.q_h, r.energetics.q_c,
                 r.energetics.eta, r.energetics.mode, r.converged)
-               for r in rows])
+               for t, r in zip(taus_us, rows)])
     return 0 if all(r.converged for r in rows) else 1
 
 
 def _cmd_phase_map(args) -> int:
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
+    # The grids (and --xi) are checked with a placeholder xi for --tau.
     spec = PhaseMapSpec(
         freqs,
         ph_values=linear_spaced(args.ph_min, args.ph_max, args.ph_points),
         pc_values=linear_spaced(args.pc_min, args.pc_max, args.pc_points),
-        xi=args.xi if args.tau is None else 0.0,
-        tau_us=args.tau,
-        cfg=IntegratorConfig(xi_tolerance=args.xi_tol))
+        xi=args.xi if args.tau is None else 0.0)
+    xi_of = _xi_source(args, freqs)
     with _output(args.output) as fh:
+        spec = PhaseMapSpec(freqs, spec.ph_values, spec.pc_values, xi_of())
         rows = run_phase_map(spec, threads=args.threads)
         line = zero_friction_line(spec.ph_values, freqs)
         out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
@@ -296,7 +311,6 @@ def _cmd_verify(args) -> int:
 
     freqs = CycleFrequencies(2.0, 3.6)
     rng = random.Random(20240817)
-    n_sample = 50 if args.quick else 300
     failures = 0
 
     def check(name: str, ok: bool) -> None:
@@ -307,7 +321,7 @@ def _cmd_verify(args) -> int:
 
     # Closed-form identities over random inputs.
     ok_close = ok_decomp = ok_oracle = True
-    for _ in range(n_sample):
+    for _ in range(300):
         p_c = rng.uniform(0.01, 0.99)
         p_h = rng.uniform(0.01, 0.99)
         u = _random_unitary(rng)
@@ -339,9 +353,8 @@ def _cmd_verify(args) -> int:
     check("negative-friction window lower bound 1/3",
           w is not None and abs(w[0] - 1.0 / 3.0) <= 1e-12)
 
-    taus = [0.05, 0.2, 0.7] if args.quick else [0.02, 0.1, 0.3, 0.6, 1.0]
     ok_adj = True
-    for tau in taus:
+    for tau in [0.02, 0.1, 0.3, 0.6, 1.0]:
         ue = evolve_expansion(tau, freqs).U
         uc = integrate_compression(tau, freqs).U
         ok_adj &= (uc - ue.adjoint()).max_abs() <= 1e-9

@@ -75,9 +75,9 @@ class PropagatorResult(namedtuple("PropagatorResult",
         return tuple.__new__(cls, (U, steps_used, xi_error_estimate, xi))
 
 
-def _propagate(tau: float, freqs: CycleFrequencies, steps: int,
-               compression: bool) -> tuple[complex, complex, complex, complex]:
-    """Midpoint-exponential integration, unrolled for speed.
+def _propagate(tau: float, freqs: CycleFrequencies,
+               steps: int) -> tuple[complex, complex, complex, complex]:
+    """Midpoint-exponential integration of the expansion stroke, unrolled.
 
     The midpoint Hamiltonian is H/h = c0*I + hx*sx + hy*sy with
     c0 = r*(cos+sin), (hx, hy) = r*(cos, sin), r = nu(t)/2, so the Bloch
@@ -85,8 +85,6 @@ def _propagate(tau: float, freqs: CycleFrequencies, steps: int,
     """
     dt = tau / steps
     s = 2.0 * math.pi * dt
-    if compression:
-        s = -s  # H_comp(t) = -H_exp(tau - t)
     # After factoring out the scalar phase exp(-i*s*c0), each step matrix is
     # [[a, b], [-conj(b), a]] with a real, and that SU(2)-like form is closed
     # under products; track only (u, v) of [[u, v], [-conj(v), conj(u)]] and
@@ -100,8 +98,6 @@ def _propagate(tau: float, freqs: CycleFrequencies, steps: int,
     cos, sin = math.cos, math.sin
     for k in range(steps):
         t = (k + 0.5) * dt
-        if compression:
-            t = tau - t
         x = t / tau
         r = 0.5 * (nu_c + dnu * x)
         th = ang * t
@@ -272,9 +268,9 @@ def integrate_compression(tau: float, freqs: CycleFrequencies,
     return _evolve(tau, freqs, cfg, compression=True)
 
 
-def propagate_fixed_steps(tau: float, freqs: CycleFrequencies, steps: int,
-                          compression: bool = False) -> Unitary2:
-    """Single exponential-midpoint integration at a fixed step count.
+def propagate_fixed_steps(tau: float, freqs: CycleFrequencies,
+                          steps: int) -> Unitary2:
+    """Single exponential-midpoint integration of the expansion stroke.
 
     The second-order reference: no doubling, and not the CF4 scheme that
     evolve_expansion and integrate_compression use.
@@ -282,7 +278,7 @@ def propagate_fixed_steps(tau: float, freqs: CycleFrequencies, steps: int,
     StrokeDuration(tau)  # validates tau
     if steps < 1:
         raise DomainError("steps must be positive")
-    return Unitary2(*_propagate(tau, freqs, steps, compression))
+    return Unitary2(*_propagate(tau, freqs, steps))
 
 
 class XiPoint(namedtuple("XiPoint", "tau xi error_estimate converged")):

@@ -1,17 +1,18 @@
 """Parameter sweeps: cycle tau-sweeps and the friction map.
 
-A sweep spec holds its grid: TauSweepSpec the stroke durations, PhaseMapSpec
-the population values; log_spaced and linear_spaced build them, and
-tau_grid_us builds a tau grid from its bounds.
-run_tau_sweep integrates its grid through propagator.xi_sweep, the loop
-behind the xi(tau) curve, and every energy comes from
-thermo.cycle_energetics: a tau-sweep row and a phase-map cell at the same
-(p_c, p_h, xi) report the same friction work and mode.  Sweep points are
-independent pure computations, evaluated in input order.  Only the phase
-map may run its cells on a thread pool (threads); it assembles them in
-input order, so its output is bitwise deterministic whatever the thread
-count.  The tau loop is serial: its per-point work is pure Python that
-holds the interpreter lock, and a pool measured slower.
+Times are in ms, as everywhere below the CLI.  A sweep spec holds its grid
+as a tuple: TauSweepSpec the stroke durations, PhaseMapSpec the population
+values; log_spaced and linear_spaced build them, and tau_grid_us builds the
+CLI's tau grid (us) from its bounds.  run_tau_sweep integrates its grid
+through propagator.xi_sweep, the loop behind the xi(tau) curve; the phase
+map takes xi as given.  Every energy comes from thermo.cycle_energetics: a
+tau-sweep row and a phase-map cell at the same (p_c, p_h, xi) report the
+same friction work and mode.  Sweep points are independent pure
+computations, evaluated in input order.  Only the phase map may run its
+cells on a thread pool (threads); it assembles them in input order, so its
+output is bitwise deterministic whatever the thread count.  The tau loop is
+serial: its per-point work is pure Python that holds the interpreter lock,
+and a pool measured slower.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .propagator import IntegratorConfig, evolve_expansion, xi_sweep
+from .propagator import IntegratorConfig, xi_sweep
 from .thermo import CycleInputs, cycle_energetics
 from .tls import CycleFrequencies, StrokeDuration
 
@@ -75,61 +76,62 @@ def _map_ordered(fn, items, threads: int | None):
         return list(pool.map(fn, items))
 
 
-class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus_us cfg")):
-    """Cycle sweep over the stroke durations taus_us (microseconds).
+class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus cfg")):
+    """Cycle sweep over the stroke durations taus (ms).
 
-    The grid is taken as given, in its order; build it with log_spaced or
-    linear_spaced.  Every duration must be positive and finite.
+    The grid is kept as a tuple, in its given order; build it with
+    log_spaced or linear_spaced.  Every duration must be positive and
+    finite.
     """
 
     __slots__ = ()
 
     def __new__(cls, freqs: CycleFrequencies, p_c: float, p_h: float,
-                taus_us: Sequence[float],
+                taus: Sequence[float],
                 cfg: IntegratorConfig = IntegratorConfig()):
         CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
-        for tau_us in taus_us:
-            StrokeDuration(tau_us * 1e-3)  # validates tau
-        return tuple.__new__(cls, (freqs, p_c, p_h, taus_us, cfg))
+        taus = tuple(taus)
+        for tau in taus:
+            StrokeDuration(tau)  # validates tau
+        return tuple.__new__(cls, (freqs, p_c, p_h, taus, cfg))
 
 
 class TauSweepRow(namedtuple("TauSweepRow",
-                             "tau_us xi xi_error converged energetics")):
+                             "tau xi xi_error converged energetics")):
+    """One tau-sweep point; tau is in ms, as in XiPoint."""
+
     __slots__ = ()
 
 
 def run_tau_sweep(spec: TauSweepSpec) -> list[TauSweepRow]:
-    """xi_sweep over spec.taus_us, then the cycle energetics of each point.
+    """xi_sweep over spec.taus, then the cycle energetics of each point.
 
     A point whose doubling runs out is flagged converged=False and keeps
     the best available xi; it never aborts the sweep.  The energetics take
     that xi clamped to [0, 1/2]; the row reports it unclamped.
     """
-    points = xi_sweep([t * 1e-3 for t in spec.taus_us], spec.freqs, spec.cfg)
     rows = []
-    for tau_us, pt in zip(spec.taus_us, points):
+    for pt in xi_sweep(spec.taus, spec.freqs, spec.cfg):
         xi = min(max(pt.xi, 0.0), 0.5)
         en = cycle_energetics(CycleInputs(spec.freqs, spec.p_c, spec.p_h, xi))
-        rows.append(TauSweepRow(tau_us, pt.xi, pt.error_estimate,
+        rows.append(TauSweepRow(pt.tau, pt.xi, pt.error_estimate,
                                 pt.converged, en))
     return rows
 
 
-class PhaseMapSpec(namedtuple("PhaseMapSpec",
-                              "freqs ph_values pc_values xi tau_us cfg")):
-    """Friction map over reservoir populations at fixed xi.
+class PhaseMapSpec(namedtuple("PhaseMapSpec", "freqs ph_values pc_values xi")):
+    """Friction map over reservoir populations at a given xi.
 
     The sign structure of the friction work does not depend on the stroke
-    duration, so xi enters only as a magnitude; alternatively a stroke
-    duration (microseconds) can be given from which xi is computed once.
+    duration, so xi enters only as a magnitude.  The grids are kept as
+    tuples.
     """
 
     __slots__ = ()
 
     def __new__(cls, freqs: CycleFrequencies, ph_values: Sequence[float],
-                pc_values: Sequence[float], xi: float = 0.25,
-                tau_us: float | None = None,
-                cfg: IntegratorConfig = IntegratorConfig()):
+                pc_values: Sequence[float], xi: float = 0.25):
+        ph_values, pc_values = tuple(ph_values), tuple(pc_values)
         for name, grid, hi in (("ph", ph_values, 1.0), ("pc", pc_values, 0.5)):
             if len(grid) < 2:
                 raise DomainError(f"{name} grid must have at least 2 points")
@@ -139,15 +141,7 @@ class PhaseMapSpec(namedtuple("PhaseMapSpec",
                 raise DomainError(f"{name} grid must lie in [0, {hi}]")
         if not (0.0 <= xi <= 0.5):
             raise DomainError("xi must lie in [0, 1/2]")
-        if tau_us is not None:
-            StrokeDuration(tau_us * 1e-3)  # validates tau
-        return tuple.__new__(cls, (freqs, ph_values, pc_values, xi, tau_us,
-                                   cfg))
-
-    def resolve_xi(self) -> float:
-        if self.tau_us is None:
-            return self.xi
-        return evolve_expansion(self.tau_us * 1e-3, self.freqs, self.cfg).xi
+        return tuple.__new__(cls, (freqs, ph_values, pc_values, xi))
 
 
 class PhaseMapRow(namedtuple("PhaseMapRow",
@@ -171,7 +165,7 @@ def run_phase_map(spec: PhaseMapSpec,
     is smaller than the grid resolution maps into energy units; the bracket
     is evaluated here because w_fric = xi * bracket loses it at xi = 0.
     """
-    freqs, xi = spec.freqs, spec.resolve_xi()
+    freqs, xi = spec.freqs, spec.xi
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(spec.pc_values, spec.pc_values[1:]))
     d_ph = max(b - a for a, b in zip(spec.ph_values, spec.ph_values[1:]))

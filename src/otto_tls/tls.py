@@ -78,28 +78,6 @@ def exponent_from_population(p: float) -> float:
     return math.log1p(-p) - math.log(p)
 
 
-class ReservoirSpec(namedtuple("ReservoirSpec", "u")):
-    """A reservoir given by exponent u = beta*h*nu, with population derived."""
-
-    __slots__ = ()
-
-    def __new__(cls, u: float):
-        gibbs_population(u)  # raises DomainError unless u is finite
-        return tuple.__new__(cls, (u,))
-
-    @property
-    def p(self) -> float:
-        return gibbs_population(self.u)
-
-    @classmethod
-    def from_population(cls, p: float) -> "ReservoirSpec":
-        return cls(exponent_from_population(p))
-
-    @property
-    def negative_temperature(self) -> bool:
-        return self.u < 0.0
-
-
 # The two projectors are immutable, so every caller shares one instance.
 _PROJECTOR_X = Hermitian2(0.5, 0.5, 0.5, 0.5)
 _PROJECTOR_Y = Hermitian2(0.5, -0.5j, 0.5j, 0.5)

@@ -132,7 +132,7 @@ def test_criterion_6_entropy_production_route():
 
 
 def test_criterion_7_negative_temperature_sweep():
-    taus = log_spaced(10.0, 1000.0, 25)
+    taus = log_spaced(0.01, 1.0, 25)  # ms
 
     rows = run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, taus))
     etas = [r.energetics.eta for r in rows]
@@ -156,7 +156,7 @@ def test_criterion_7_negative_temperature_sweep():
 
 def test_criterion_8_positive_temperature_sweep():
     rows = run_tau_sweep(TauSweepSpec(FREQS, 0.2, 0.4,
-                                      log_spaced(10.0, 1000.0, 25)))
+                                      log_spaced(0.01, 1.0, 25)))
     assert all(r.energetics.w_fric > 0 for r in rows if r.xi > 1e-12)
     engine = [r.energetics.mode == MODE_ENGINE for r in rows]
     assert not engine[0] and engine[-1]
@@ -164,7 +164,7 @@ def test_criterion_8_positive_temperature_sweep():
     assert all(engine[switch:])  # single threshold, engine above it
     eta_tail = rows[-1].energetics.eta
     assert eta_tail < ETA_AD and ETA_AD - eta_tail < 0.01
-    report(8, f"engine onset at tau ~ {rows[switch].tau_us:.0f} us; "
+    report(8, f"engine onset at tau ~ {rows[switch].tau * 1e3:.0f} us; "
               f"eta -> eta_ad from below (eta(1ms)={eta_tail:.4f})")
 
 

@@ -12,7 +12,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import otto_tls
+from otto_tls import (CycleFrequencies, PhaseMapSpec, evolve_expansion,
+                      run_phase_map)
 from otto_tls.cli import build_parser, main
+from otto_tls.sweep import linear_spaced
 
 UNITS_LINE = "# energy unit: h*kHz; time unit: us"
 
@@ -234,6 +237,21 @@ class TestPhaseMap:
         _, rows = parse_csv(out)
         assert rows[0]["p_c"] == "0" and rows[0]["p_h"] == "0"
 
+    def test_tau_gives_the_map_at_the_integrated_xi(self):
+        code, out, _ = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
+                               "--tau", "300", "--ph-points", "5",
+                               "--pc-points", "4")
+        assert code == 0
+        _, rows = parse_csv(out)
+        freqs = CycleFrequencies(2.0, 3.6)
+        want = run_phase_map(PhaseMapSpec(
+            freqs, linear_spaced(0.02, 1.0, 5), linear_spaced(0.02, 0.49, 4),
+            xi=evolve_expansion(0.3, freqs).xi))
+        grid = [r for r in rows if r["series"] == "grid"]
+        assert [r["mode"] for r in grid] == [w.mode for w in want]
+        assert [float(r["w_fric"]) for r in grid] == pytest.approx(
+            [w.w_fric for w in want], rel=1e-11, abs=1e-12)
+
 
 class TestWindows:
     def test_reference_window(self):
@@ -308,9 +326,11 @@ class TestErrorsAndVerify:
          "--xi-tol", "1e-8"),
         ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "0.8",
          "--threads", "2"),
+        ("verify", "--quick"),
     ])
     def test_option_without_effect_rejected(self, argv):
-        # --threads belongs to phase-map alone, and windows never integrates.
+        # --threads belongs to phase-map alone, windows never integrates,
+        # and verify takes no options.
         code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
@@ -335,6 +355,8 @@ class TestErrorsAndVerify:
         ("xi_sweep", ("xi", "--nu-c", "2", "--nu-h", "3.6")),
         ("evolve_expansion", ("cycle", "--nu-c", "2", "--nu-h", "3.6",
                               "--pc", "0.4", "--ph", "0.8", "--tau", "300")),
+        ("evolve_expansion", ("phase-map", "--nu-c", "2", "--nu-h", "3.6",
+                              "--tau", "300")),
     ])
     def test_unwritable_output_reported_before_compute(self, tmp_path,
                                                         monkeypatch, compute,
@@ -393,8 +415,8 @@ class TestErrorsAndVerify:
         assert proc.returncode == 1
         assert err == b""
 
-    def test_verify_quick_passes(self):
-        code, out, _ = run_cli("verify", "--quick")
+    def test_verify_passes(self):
+        code, out, _ = run_cli("verify")
         assert code == 0
         assert "FAIL" not in out
 
@@ -423,7 +445,7 @@ OPTIONS = {
                  "--ph-points --pc-min --pc-max --pc-points --threads "
                  "--xi-tol -o --output",
     "windows": "-h --help --nu-c --nu-h --ph --pc -o --output",
-    "verify": "-h --help --quick",
+    "verify": "-h --help",
 }
 
 

@@ -10,8 +10,7 @@ import otto_tls
 from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       CycleInputs, Density2, DomainError, Hermitian2,
                       IntegratorConfig, Matrix2, PhaseMapRow, PhaseMapSpec,
-                      PropagatorResult, ReservoirSpec, StrokeDuration,
-                      StrokeFriction, TauSweepRow, TauSweepSpec, Unitary2,
+                      PropagatorResult, StrokeDuration, StrokeFriction, TauSweepRow, TauSweepSpec, Unitary2,
                       XiPoint, cycle_energetics, evolve_expansion,
                       exp_neg_i_h, exponent_from_population,
                       friction_from_divergence, gibbs_population, gibbs_state,
@@ -30,7 +29,6 @@ SAMPLES = [
     gibbs_state(0.3, "x"),
     FREQS,
     StrokeDuration(0.3),
-    ReservoirSpec(-1.2),
     IntegratorConfig(xi_tolerance=1e-8, max_doublings=12),
     evolve_expansion(0.3, FREQS),
     xi_sweep([0.3], FREQS)[0],
@@ -38,10 +36,9 @@ SAMPLES = [
     cycle_energetics(INPUTS),
     friction_from_divergence(0.4, exponent_from_population(0.4), U,
                              "expansion", FREQS),
-    TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(10.0, 1000.0, 3)),
-    run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8,
-                               log_spaced(10.0, 1000.0, 2)))[0],
-    PhaseMapSpec(FREQS, [0.0, 1.0], [0.0, 0.5], tau_us=300.0),
+    TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 3)),
+    run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 2)))[0],
+    PhaseMapSpec(FREQS, [0.0, 1.0], [0.0, 0.5]),
     run_phase_map(PhaseMapSpec(FREQS, [0.2, 0.8], [0.1, 0.4]), threads=1)[0],
 ]
 RECORDS = pytest.mark.parametrize("rec", SAMPLES,
@@ -52,7 +49,7 @@ def test_samples_cover_every_public_record():
     public = {getattr(otto_tls, n) for n in otto_tls.__all__}
     records = {c for c in public if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in SAMPLES}
-    assert len(records) == 17  # 14 records and the three Matrix2 roles
+    assert len(records) == 16  # 13 records and the three Matrix2 roles
 
 
 RECORD_FIELDS = {
@@ -61,7 +58,6 @@ RECORD_FIELDS = {
     "Unitary2": "a11 a12 a21 a22",
     "Density2": "a11 a12 a21 a22",
     "CycleFrequencies": "nu_c nu_h",
-    "ReservoirSpec": "u",
     "StrokeDuration": "tau",
     "IntegratorConfig": "xi_tolerance max_doublings",
     "PropagatorResult": "U steps_used xi_error_estimate xi",
@@ -69,9 +65,9 @@ RECORD_FIELDS = {
     "CycleInputs": "freqs p_c p_h xi",
     "CycleEnergetics": "w_exp w_comp q_c q_h w_net w_ad w_fric eta mode",
     "StrokeFriction": "work divergence inv_beta_eff singular_reference",
-    "TauSweepSpec": "freqs p_c p_h taus_us cfg",
-    "TauSweepRow": "tau_us xi xi_error converged energetics",
-    "PhaseMapSpec": "freqs ph_values pc_values xi tau_us cfg",
+    "TauSweepSpec": "freqs p_c p_h taus cfg",
+    "TauSweepRow": "tau xi xi_error converged energetics",
+    "PhaseMapSpec": "freqs ph_values pc_values xi",
     "PhaseMapRow": "p_h p_c w_fric mode on_zero_line",
 }
 
@@ -120,16 +116,31 @@ class TestConstruction:
         assert cfg.xi_tolerance == 1e-8 and cfg.max_doublings == 20
 
     def test_tau_sweep_spec_defaults(self):
-        spec = TauSweepSpec(FREQS, 0.4, 0.8, linear_spaced(10.0, 1000.0, 100))
-        grid = spec.taus_us
-        assert (grid[0], grid[-1], len(grid)) == (10.0, 1000.0, 100)
+        spec = TauSweepSpec(FREQS, 0.4, 0.8, linear_spaced(0.01, 1.0, 100))
+        grid = spec.taus
+        assert (grid[0], grid[-1], len(grid)) == (0.01, 1.0, 100)
         assert spec.cfg == IntegratorConfig()
         assert grid[1] - grid[0] == pytest.approx(grid[-1] - grid[-2])
 
     def test_phase_map_spec_defaults(self):
-        spec = PhaseMapSpec(FREQS, [0, 1], [0, 0.5], tau_us=300.0)
-        assert spec.xi == 0.25 and spec.cfg == IntegratorConfig()
-        assert spec.resolve_xi() == evolve_expansion(0.3, FREQS).xi
+        spec = PhaseMapSpec(FREQS, [0, 1], [0, 0.5])
+        assert spec == (FREQS, (0, 1), (0, 0.5), 0.25)
+
+    def test_tau_sweep_spec_keeps_its_own_grid(self):
+        grid = log_spaced(0.01, 1.0, 3)
+        spec = TauSweepSpec(FREQS, 0.4, 0.8, grid)
+        grid.append(-5.0)  # after the spec checked its grid
+        assert spec.taus == tuple(grid[:3])
+        assert [r.tau for r in run_tau_sweep(spec)] == grid[:3]
+        assert hash(spec) == hash(TauSweepSpec(FREQS, 0.4, 0.8, grid[:3]))
+
+    def test_phase_map_spec_keeps_its_own_grids(self):
+        ph, pc = [0.2, 0.8], [0.1, 0.4]
+        spec = PhaseMapSpec(FREQS, ph, pc)
+        pc.append(0.05)  # after the spec checked its grids
+        assert (spec.ph_values, spec.pc_values) == ((0.2, 0.8), (0.1, 0.4))
+        assert len(run_phase_map(spec)) == 4
+        assert hash(spec) == hash(PhaseMapSpec(FREQS, ph, pc[:2]))
 
     def test_keywords_match_positions(self):
         assert CycleInputs(freqs=FREQS, p_c=0.4, p_h=0.8, xi=0.25) == INPUTS
@@ -139,7 +150,7 @@ class TestConstruction:
         assert PhaseMapRow(0.2, 0.1, 0.5, mode="engine",
                            on_zero_line=False).mode == "engine"
         assert TauSweepRow(1.0, 0.1, 0.0, True,
-                           energetics=cycle_energetics(INPUTS)).tau_us == 1.0
+                           energetics=cycle_energetics(INPUTS)).tau == 1.0
         assert StrokeFriction(0.1, 0.2, 0.5, singular_reference=False).work == 0.1
         assert CycleEnergetics(*range(7), None, "engine").is_engine
 
@@ -178,8 +189,8 @@ NAN, INF = math.nan, math.inf
     (lambda: StrokeDuration(NAN), DomainError, "tau must be positive"),
     (lambda: StrokeDuration(INF), DomainError,
      "tau must be positive and finite"),
-    (lambda: ReservoirSpec(INF), DomainError, "exponent must be finite"),
-    (lambda: ReservoirSpec(NAN), DomainError, "exponent must be finite"),
+    (lambda: gibbs_population(INF), DomainError, "exponent must be finite"),
+    (lambda: gibbs_population(NAN), DomainError, "exponent must be finite"),
     (lambda: IntegratorConfig(xi_tolerance=0.0), DomainError, "xi_tolerance"),
     (lambda: IntegratorConfig(xi_tolerance=0.02), DomainError, "xi_tolerance"),
     (lambda: IntegratorConfig(max_doublings=0), DomainError, "max_doublings"),
@@ -193,13 +204,13 @@ NAN, INF = math.nan, math.inf
      "tau_min < tau_max"),
     (lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
      "points must be at least 2"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [100.0, 0.0]), DomainError,
+    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.1, 0.0]), DomainError,
      "tau must be positive and finite"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.0, 1000.0]), DomainError,
+    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.0, 1.0]), DomainError,
      "tau must be positive and finite"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [10.0, INF]), DomainError,
+    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.01, INF]), DomainError,
      "tau must be positive and finite"),
-    (lambda: TauSweepSpec(FREQS, 1.5, 0.8, [10.0]), DomainError,
+    (lambda: TauSweepSpec(FREQS, 1.5, 0.8, [0.01]), DomainError,
      "p_c must lie"),
     (lambda: PhaseMapSpec(FREQS, [0.5], [0.1, 0.2]), DomainError,
      "ph grid must have at least 2 points"),
@@ -211,19 +222,7 @@ NAN, INF = math.nan, math.inf
      "pc grid must lie in"),
     (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], xi=0.7), DomainError,
      "xi must lie"),
-    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], tau_us=-5.0),
-     DomainError, "tau must be positive and finite"),
-    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], tau_us=INF),
-     DomainError, "tau must be positive and finite"),
 ])
 def test_validation_errors_fire(build, exc, match):
     with pytest.raises(exc, match=match):
         build()
-
-
-@pytest.mark.parametrize("u", [-800.0, -1.2, 0.0, 1e-3, 0.7, 800.0])
-def test_reservoir_population_is_derived(u):
-    r = ReservoirSpec(u)
-    assert r.p == gibbs_population(u)
-    assert r.negative_temperature == (u < 0.0)
-    assert ReservoirSpec.from_population(0.8).p == pytest.approx(0.8, abs=1e-14)

@@ -18,7 +18,7 @@ FAST_CFG = IntegratorConfig(xi_tolerance=1e-8)
 
 def sweep(p_c, p_h, points=15):
     return run_tau_sweep(TauSweepSpec(FREQS, p_c, p_h,
-                                      log_spaced(10.0, 1000.0, points),
+                                      log_spaced(0.01, 1.0, points),
                                       FAST_CFG))
 
 
@@ -35,7 +35,7 @@ class TestGrids:
         with pytest.raises(DomainError):
             log_spaced(10.0, 5.0, 4)
         with pytest.raises(DomainError):
-            TauSweepSpec(FREQS, 0.4, 0.8, [100.0, -10.0])
+            TauSweepSpec(FREQS, 0.4, 0.8, [0.1, -0.01])
 
     @pytest.mark.parametrize("spacing", [log_spaced, linear_spaced])
     @pytest.mark.parametrize("lo, hi, bad", [
@@ -86,10 +86,10 @@ class TestTauSweep:
     def test_rows_in_tau_order_and_deterministic(self):
         a = sweep(0.4, 0.8, points=8)
         b = sweep(0.4, 0.8, points=8)
-        taus = [r.tau_us for r in a]
+        taus = [r.tau for r in a]
         assert taus == sorted(taus)
-        assert [(r.tau_us, r.xi, r.energetics.w_net) for r in a] == \
-               [(r.tau_us, r.xi, r.energetics.w_net) for r in b]
+        assert [(r.tau, r.xi, r.energetics.w_net) for r in a] == \
+               [(r.tau, r.xi, r.energetics.w_net) for r in b]
 
 
 class TestPhaseMap:
@@ -120,21 +120,6 @@ class TestPhaseMap:
         line = dict(zero_friction_line([0.8, 1.0], FREQS))
         assert line[0.8] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert line[1.0] == pytest.approx(2.0 / 9.0, abs=1e-12)
-
-    def test_xi_from_tau_once(self):
-        spec = PhaseMapSpec(FREQS,
-                            ph_values=[0.4, 0.8],
-                            pc_values=[0.2, 0.4],
-                            tau_us=300.0,
-                            cfg=FAST_CFG)
-        xi = spec.resolve_xi()
-        assert 0.0 < xi < 0.5
-        rows = run_phase_map(spec)
-        # Sign structure is xi-independent; magnitudes scale with xi.
-        ref = run_phase_map(PhaseMapSpec(FREQS, ph_values=[0.4, 0.8],
-                                         pc_values=[0.2, 0.4], xi=xi))
-        assert [(r.p_h, r.p_c, r.w_fric) for r in rows] == \
-               [(r.p_h, r.p_c, r.w_fric) for r in ref]
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

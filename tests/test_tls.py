@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otto_tls import (CycleFrequencies, DomainError, ReservoirSpec,
-                      StrokeDuration, eig_hermitian2,
-                      exponent_from_population, gibbs_population, gibbs_state,
+from otto_tls import (CycleFrequencies, DomainError, StrokeDuration,
+                      eig_hermitian2, exponent_from_population, gibbs_population, gibbs_state,
                       hamiltonian_compression, hamiltonian_expansion,
                       projector_excited, ramp_frequency)
 
@@ -163,12 +162,6 @@ class TestGibbs:
         u = exponent_from_population(p)
         assert (u > 0) == (p < 0.5)
         assert (u < 0) == (p > 0.5)
-
-    def test_reservoir_spec(self):
-        r = ReservoirSpec.from_population(0.8)
-        assert r.negative_temperature
-        assert r.p == pytest.approx(0.8, abs=1e-14)
-        assert not ReservoirSpec(1.5).negative_temperature
 
 
 class TestGibbsState:
