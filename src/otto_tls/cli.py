@@ -294,8 +294,9 @@ def _cmd_windows(args) -> int:
     return 0
 
 
-def _random_unitary(rng: random.Random):
-    # Rejection-sampled so xi stays in the protocol's physical range [0, 1/2].
+def _random_unitary(rng):
+    # rng is a random.Random, which only verify imports.  Rejection-sampled
+    # so xi stays in the protocol's physical range [0, 1/2].
     while True:
         a = rng.uniform(-2.0, 2.0)
         d = rng.uniform(-2.0, 2.0)

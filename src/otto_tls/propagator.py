@@ -1,21 +1,18 @@
 """Time-ordered propagation of the unitary strokes.
 
 The stroke propagator solves dU/dt = -2*pi*i * (H(t)/h) * U with U(0) = I.
-Converged strokes use the fourth-order commutator-free Magnus scheme CF4
-(Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske,
-J. Comput. Phys. 230, 5930 (2011)) in the frame co-rotating with the drive
+Converged strokes are integrated in the frame co-rotating with the drive
 axis, where the stroke becomes a finite-duration Landau-Zener problem
 (Vitanov & Garraway, Phys. Rev. A 53, 4288 (1996)): U = exp(-i*Phi) *
 Rz(phi) * W with phi = pi*t/(2*tau), the scalar phase Phi integrated
-exactly, and W driven by r(t)*sx - sz/(8*tau), r = nu(t)/2.  Each CF4 step
-samples that generator at the Gauss nodes t_k + c1,2*dt,
-c1,2 = 1/2 -+ sqrt(3)/6, and applies exp(-2*pi*i*dt*(a2*H1 + a1*H2))
-followed by exp(-2*pi*i*dt*(a1*H1 + a2*H2)) with weights
-a1,2 = (3 -+ 2*sqrt(3))/12.  Every factor is an exact 2x2 exponential, so
-every intermediate U is unitary to rounding, and the constant sz part keeps
-every rotation angle away from 0.  The step count is doubled until the
-adiabaticity parameter xi - the only scalar consumed downstream - is
-self-consistent to the configured tolerance.
+exactly, and W driven by r(t)*sx - sz/(8*tau), r = nu(t)/2.  That
+generator is linear in time, so the sixth-order Magnus expansion (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) sums in closed su(2) form
+to one rotation vector per step, and each step is a single exact 2x2
+exponential.  Every intermediate U is therefore unitary to rounding, and
+the constant sz part keeps every rotation angle away from 0.  The step
+count is doubled until the adiabaticity parameter xi - the only scalar
+consumed downstream - is self-consistent to the configured tolerance.
 
 propagate_fixed_steps keeps the second-order exponential-midpoint rule as
 a simple fixed-step reference.
@@ -43,10 +40,10 @@ class IntegratorConfig(namedtuple("IntegratorConfig",
                                   "xi_tolerance max_doublings")):
     """Step-doubling control for the stroke integrator.
 
-    Doubling starts at max(16, ceil(16 * nu_h * tau)) steps (resolve_steps),
-    a start sized for CF4: 16 steps per Larmor period 1/nu_h, and never
-    fewer than 16.  It stops once |xi_2n - xi_n| is below xi_tolerance, or
-    fails after max_doublings.
+    Doubling starts at max(8, ceil(8 * nu_h * tau)) steps (resolve_steps),
+    a start sized for the sixth-order Magnus step: 8 steps per Larmor
+    period 1/nu_h, and never fewer than 8.  It stops once |xi_2n - xi_n|
+    is below xi_tolerance, or fails after max_doublings.
     """
 
     __slots__ = ()
@@ -59,7 +56,7 @@ class IntegratorConfig(namedtuple("IntegratorConfig",
         return tuple.__new__(cls, (xi_tolerance, max_doublings))
 
     def resolve_steps(self, tau: float, freqs: CycleFrequencies) -> int:
-        return max(16, math.ceil(16.0 * freqs.nu_h * tau))
+        return max(8, math.ceil(8.0 * freqs.nu_h * tau))
 
 
 class PropagatorResult(namedtuple("PropagatorResult",
@@ -114,17 +111,12 @@ def _propagate(tau: float, freqs: CycleFrequencies,
             -phase * v.conjugate(), phase * u.conjugate())
 
 
-_SQRT3 = math.sqrt(3.0)
-_CF4_C1 = 0.5 - _SQRT3 / 6.0
-_CF4_C2 = 0.5 + _SQRT3 / 6.0
-_CF4_A1 = (3.0 - 2.0 * _SQRT3) / 12.0
-_CF4_A2 = (3.0 + 2.0 * _SQRT3) / 12.0
 _EIGHTH_TURN = complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi))
 
 
-def _propagate_cf4(tau: float, freqs: CycleFrequencies, steps: int,
-                   compression: bool) -> tuple[complex, complex, complex, complex]:
-    """Fourth-order commutator-free Magnus (CF4) integration, unrolled.
+def _propagate_magnus6(tau: float, freqs: CycleFrequencies, steps: int,
+                       compression: bool) -> tuple[complex, complex, complex, complex]:
+    """Sixth-order Magnus integration, one exponential per step, unrolled.
 
     Integrated in the frame co-rotating with the drive axis, where the
     stroke is a finite-duration Landau-Zener problem (Vitanov & Garraway,
@@ -134,54 +126,63 @@ def _propagate_cf4(tau: float, freqs: CycleFrequencies, steps: int,
 
         dW/dt = -2*pi*i * (r(t)*sx - sz/(8*tau)) * W,   r = nu(t)/2.
 
-    Each CF4 factor is exp(-i*(hx*sx + hz*sz)) with hx linear in the step
-    index and hz = -+pi/(8*steps) constant, so a factor costs one sqrt,
-    sin and cos, and a step no trigonometry of the drive axis.  hz is
-    never 0, so the rotation angle never is either: a subnormal tau gives
-    W = Rz(pi/2)^dagger and U = I without a guard.  The scalar phase is
+    Over step k of n, with q in [-1/2, 1/2] the time from the step's
+    midpoint in steps, the generator is -i*(a + b*q).sigma in rotation
+    angles per step: a = (X_k, 0, Z), X_k = r(x) at the step's midpoint,
+    Z = -pi/(4*n), and b = (delta, 0, 0), delta the change of r over the
+    step.  The generator
+    is linear in time, and [-i*a.sigma, -i*b.sigma] = -2i*(a x b).sigma, so
+    the time-symmetric Magnus series truncated after its h^5 terms (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) is one rotation vector
+
+        w = a - (a x b)/6 - b x (a x b)/60 + a x (a x (a x b))/90
+          = (X_k, -Z*delta*(1/6 + (X_k^2 + Z^2)/90), Z*(1 - delta^2/60)),
+
+    and the step is exp(-i*w.sigma): one sqrt, sin and cos.  w_z is never
+    0 (resolve_steps keeps delta below pi/64), so the rotation angle never
+    is either: a subnormal tau gives W = Rz(pi/2)^dagger and U = I without
+    a guard.  The scalar phase is
     the exact integral Phi(tau) = 2*tau*(nu_c + nu_h).  The compression
     stroke is the same W problem mirrored in time with the generator's sign
-    flipped, and transforms back as U = exp(+i*Phi) * W * Rz(pi/2)^dagger.
+    flipped, which turns w into -w step by step, and transforms back as
+    U = exp(+i*Phi) * W * Rz(pi/2)^dagger.
     """
     n = steps
     s = 2.0 * math.pi * tau / n
-    hz = -0.125 * math.pi / n
-    # s is folded into the radii r(x) = r_c + r_d*x, so hx below is already
+    z = -0.25 * math.pi / n
+    # s is folded into the radii r(x) = r_c + r_d*x, so wx below is already
     # the rotation angle about x.
     r_c = 0.5 * s * freqs.nu_c
     r_d = 0.5 * s * (freqs.nu_h - freqs.nu_c)
     if compression:
         # H_comp(t) = -H_exp(tau - t): flip the signs and mirror r(x) to
         # r(1 - x) = (r_c + r_d) - r_d*x.
-        r_c, r_d, hz = -(r_c + r_d), r_d, -hz
-    # With x_j = (k + c_j)/n the two factors take hx = a2*r(x1) + a1*r(x2)
-    # and a1*r(x1) + a2*r(x2): r_c/2 + r_d*(k/2 + a2*c1 + a1*c2)/n and the
-    # same with the weights swapped.
-    a1, a2, c1, c2 = _CF4_A1, _CF4_A2, _CF4_C1, _CF4_C2
-    slope = 0.5 * r_d / n
-    hx1 = 0.5 * r_c + r_d * (a2 * c1 + a1 * c2) / n
-    hx2 = 0.5 * r_c + r_d * (a1 * c1 + a2 * c2) / n
-    hz2 = hz * hz
+        r_c, r_d, z = -(r_c + r_d), r_d, -z
+    delta = r_d / n
+    x0 = r_c + 0.5 * delta
+    # w_y = wy0 + wy2 * X_k^2; w_z is the same for every step.
+    wy0 = -z * delta * (1.0 / 6.0 + z * z / 90.0)
+    wy2 = -z * delta / 90.0
+    wz = z * (1.0 - delta * delta / 60.0)
+    wz2 = wz * wz
     # Same (u, v) form as _propagate, [[u, v], [-conj(v), conj(u)]], with u
     # and v split into real and imaginary parts: real arithmetic avoids a
-    # complex object per operation.  A factor exp(-i*(hx*sx + hz*sz)) is
-    # [[c - i*d, -i*e], [-i*e, c + i*d]] with c = cos(rho), (d, e) =
-    # sin(rho)/rho * (hz, hx), rho = sqrt(hx^2 + hz^2) > 0.
+    # complex object per operation.  exp(-i*w.sigma) is
+    # [[c - i*d, -f - i*e], [f - i*e, c + i*d]] with c = cos(rho),
+    # (e, f, d) = sin(rho)/rho * (w_x, w_y, w_z), rho = |w| > 0.
     ur, ui, vr, vi = 1.0, 0.0, 0.0, 0.0
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
     for k in range(n):
-        hx = hx1 + slope * k
-        rho = sqrt(hx * hx + hz2)
+        wx = x0 + delta * k
+        wx2 = wx * wx
+        wy = wy0 + wy2 * wx2
+        rho = sqrt(wx2 + wy * wy + wz2)
         m = sin(rho) / rho
-        c, d, e = cos(rho), m * hz, m * hx
-        ur, ui, vr, vi = (c * ur + d * ui + e * vi, c * ui - d * ur + e * vr,
-                          c * vr + d * vi - e * ui, c * vi - d * vr - e * ur)
-        hx = hx2 + slope * k
-        rho = sqrt(hx * hx + hz2)
-        m = sin(rho) / rho
-        c, d, e = cos(rho), m * hz, m * hx
-        ur, ui, vr, vi = (c * ur + d * ui + e * vi, c * ui - d * ur + e * vr,
-                          c * vr + d * vi - e * ui, c * vi - d * vr - e * ur)
+        c, d, e, f = cos(rho), m * wz, m * wx, m * wy
+        ur, ui, vr, vi = (c * ur + d * ui + e * vi + f * vr,
+                          c * ui - d * ur + e * vr - f * vi,
+                          c * vr + d * vi - e * ui - f * ur,
+                          c * vi - d * vr - e * ur + f * ui)
     u, v = complex(ur, ui), complex(vr, vi)
     angle = 2.0 * tau * (freqs.nu_c + freqs.nu_h)
     if compression:
@@ -215,7 +216,7 @@ def transition_probability(u: Unitary2) -> float:
 
 def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
             compression: bool) -> PropagatorResult:
-    """CF4 integration, doubling the step count until xi settles.
+    """Magnus integration, doubling the step count until xi settles.
 
     Starts at cfg.resolve_steps and doubles until |xi_2n - xi_n| is below
     cfg.xi_tolerance; xi_2n and that difference are returned.  Raises
@@ -233,11 +234,11 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         return _xi_raw(*raw)
 
     n = cfg.resolve_steps(tau, freqs)
-    raw = _propagate_cf4(tau, freqs, n, compression)
+    raw = _propagate_magnus6(tau, freqs, n, compression)
     xi_prev = xi_of(raw)
     for _ in range(cfg.max_doublings):
         n *= 2
-        raw = _propagate_cf4(tau, freqs, n, compression)
+        raw = _propagate_magnus6(tau, freqs, n, compression)
         xi = xi_of(raw)
         err = abs(xi - xi_prev)
         if err < cfg.xi_tolerance:
@@ -272,7 +273,7 @@ def propagate_fixed_steps(tau: float, freqs: CycleFrequencies,
                           steps: int) -> Unitary2:
     """Single exponential-midpoint integration of the expansion stroke.
 
-    The second-order reference: no doubling, and not the CF4 scheme that
+    The second-order reference: no doubling, and not the Magnus scheme that
     evolve_expansion and integrate_compression use.
     """
     StrokeDuration(tau)  # validates tau

@@ -140,7 +140,7 @@ class PhaseMapSpec(namedtuple("PhaseMapSpec", "freqs ph_values pc_values xi")):
             if grid[0] < 0.0 or grid[-1] > hi:
                 raise DomainError(f"{name} grid must lie in [0, {hi}]")
         if not (0.0 <= xi <= 0.5):
-            raise DomainError("xi must lie in [0, 1/2]")
+            raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
         return tuple.__new__(cls, (freqs, ph_values, pc_values, xi))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .complex2 import Density2, Matrix2, Unitary2, eig_hermitian2
+from .complex2 import Density2, Unitary2, eig_hermitian2
 from .errors import DomainError
 from .propagator import transition_probability
 from .tls import CycleFrequencies, gibbs_state, projector_excited
@@ -130,33 +130,50 @@ def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
                                            w_ad, w_fric, eta, mode))
 
 
-def _trace_product(a: Matrix2, b: Matrix2) -> float:
-    t = (a.a11 * b.a11 + a.a12 * b.a21 + a.a21 * b.a12 + a.a22 * b.a22)
-    return t.real
+def _trace_product(a, b) -> float:
+    """Re tr(a b), on the row-major entries of two 2x2 matrices."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22).real
+
+
+def _rotated(a, rho) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries of a rho a^dag for 2x2 matrices given as entries."""
+    a11, a12, a21, a22 = a
+    r11, r12, r21, r22 = rho
+    # b = a rho, then (b a^dag)_ij = sum_k b_ik conj(a_jk).
+    b11, b12 = a11 * r11 + a12 * r21, a11 * r12 + a12 * r22
+    b21, b22 = a21 * r11 + a22 * r21, a21 * r12 + a22 * r22
+    c11, c12, c21, c22 = (a11.conjugate(), a12.conjugate(),
+                          a21.conjugate(), a22.conjugate())
+    return (b11 * c11 + b12 * c12, b11 * c21 + b12 * c22,
+            b21 * c11 + b22 * c12, b21 * c21 + b22 * c22)
 
 
 def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
                            freqs: CycleFrequencies) -> CycleEnergetics:
     """Stage energies from density-matrix traces (Alicki definitions).
 
-    Builds rho_1 thermal at the cold endpoint, rho_3 thermal at the hot
-    endpoint, rho_2 = U rho_1 U^dag and rho_4 = U^dag rho_3 U, then takes
-    every energy as a trace difference.  Serves as the independent oracle
-    for cycle_energetics with xi read off the same unitary.
+    Takes rho_1 thermal at the cold endpoint, rho_3 thermal at the hot
+    endpoint, rho_2 = U rho_1 U^dag and rho_4 = U^dag rho_3 U, and every
+    energy as a trace difference of e_k = tr(H rho_k), each trace written
+    on the entries of U, the Gibbs state and the endpoint projector.
+    Serves as the independent oracle for cycle_energetics with xi read off
+    the same unitary.
     """
-    h_c = projector_excited("x").scaled(freqs.nu_c)
-    h_h = projector_excited("y").scaled(freqs.nu_h)
+    p_x = projector_excited("x")
+    p_y = projector_excited("y")
     rho1 = gibbs_state(p_c, "x")
     rho3 = gibbs_state(p_h, "y")
-    u_dag = u.adjoint()
-    rho2 = u @ rho1 @ u_dag
-    rho4 = u_dag @ rho3 @ u
+    u11, u12, u21, u22 = u
+    u_dag = (u11.conjugate(), u21.conjugate(), u12.conjugate(),
+             u22.conjugate())
 
-    # e_k = tr(H rho_k), the energy at cycle stage k.
-    e1 = _trace_product(h_c, rho1)
-    e2 = _trace_product(h_h, rho2)
-    e3 = _trace_product(h_h, rho3)
-    e4 = _trace_product(h_c, rho4)
+    # e_k = tr(H rho_k), the energy at cycle stage k, with H = nu * P.
+    e1 = freqs.nu_c * _trace_product(p_x, rho1)
+    e2 = freqs.nu_h * _trace_product(p_y, _rotated(u, rho1))
+    e3 = freqs.nu_h * _trace_product(p_y, rho3)
+    e4 = freqs.nu_c * _trace_product(p_x, _rotated(u_dag, rho3))
     w_exp = e2 - e1
     w_comp = e4 - e3
     q_c = e1 - e4

@@ -2,11 +2,13 @@
 
 import argparse
 import csv
+import inspect
 import io
 import math
 import os
 import subprocess
 import sys
+import typing
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 import otto_tls
 from otto_tls import (CycleFrequencies, PhaseMapSpec, evolve_expansion,
                       run_phase_map)
+from otto_tls import cli as otto_cli
 from otto_tls.cli import build_parser, main
 from otto_tls.sweep import linear_spaced
 
@@ -252,6 +255,15 @@ class TestPhaseMap:
         assert [float(r["w_fric"]) for r in grid] == pytest.approx(
             [w.w_fric for w in want], rel=1e-11, abs=1e-12)
 
+    def test_bad_xi_is_named(self):
+        # The same message as cycle --xi gives for the same value.
+        for argv in (("phase-map", "--nu-c", "2", "--nu-h", "3.6"),
+                     ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+                      "--ph", "0.8")):
+            code, out, err = run_cli(*argv, "--xi", "0.7")
+            assert (code, out) == (1, "")
+            assert err == "otto-tls: xi must lie in [0, 1/2], got 0.7\n"
+
 
 class TestWindows:
     def test_reference_window(self):
@@ -432,6 +444,16 @@ def test_startup_imports_stay_lean():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_annotations_resolve():
+    # Every annotation in otto_tls.cli names something the module can
+    # resolve, although `from __future__ import annotations` defers them.
+    funcs = [f for f in vars(otto_cli).values()
+             if inspect.isfunction(f) and f.__module__ == otto_cli.__name__]
+    assert funcs
+    for f in funcs:
+        typing.get_type_hints(f)
 
 
 OPTIONS = {

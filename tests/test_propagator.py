@@ -11,7 +11,7 @@ from otto_tls import (ConvergenceError, CycleFrequencies, DomainError,
                       evolve_expansion, integrate_compression,
                       propagate_fixed_steps, transition_probability, xi_sweep)
 from otto_tls.complex2 import IDENTITY
-from otto_tls.propagator import _propagate_cf4
+from otto_tls.propagator import _propagate_magnus6
 from otto_tls.sweep import log_spaced
 from otto_tls.tls import KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y
 
@@ -163,13 +163,13 @@ class TestConvergence:
         assert abs(xi_loose - xi_tight) < loose_tol
 
     def test_non_convergence_carries_best(self):
-        # 58 -> 116 steps change xi by about 4e-10, above the tolerance.
+        # 29 -> 58 steps change xi by about 5e-10, above the tolerance.
         cfg = IntegratorConfig(xi_tolerance=1e-12, max_doublings=1)
         with pytest.raises(ConvergenceError) as exc:
             evolve_expansion(1.0, FREQS, cfg)
         best = exc.value.best
         assert best is not None
-        assert best.steps_used == 116
+        assert best.steps_used == 58
         assert best.xi_error_estimate >= cfg.xi_tolerance
         assert 0.0 <= best.xi <= 0.5 + 1e-9
 
@@ -188,37 +188,40 @@ class TestConvergence:
 
     def test_default_initial_steps(self):
         cfg = IntegratorConfig()
-        assert cfg.resolve_steps(0.001, FREQS) == 16
-        assert cfg.resolve_steps(1.0, FREQS) == 58
+        assert cfg.resolve_steps(0.001, FREQS) == 8
+        assert cfg.resolve_steps(1.0, FREQS) == 29
 
 
-def cf4_xi(tau: float, steps: int, compression: bool = False) -> float:
+def magnus6_xi(tau: float, steps: int, compression: bool = False) -> float:
     return transition_probability(
-        Unitary2(*_propagate_cf4(tau, FREQS, steps, compression)))
+        Unitary2(*_propagate_magnus6(tau, FREQS, steps, compression)))
 
 
-class TestCF4Kernel:
-    def test_fourth_order_rate(self):
-        # Halving the step cuts the xi error by ~16x from 16 to 256 steps.
+class TestMagnusKernel:
+    def test_sixth_order_rate(self):
+        # Halving the step cuts the xi error by ~64x from 8 to 32 steps,
+        # where the error (2e-8 .. 5e-12) is far above rounding.
         tau = 0.3
-        ref = cf4_xi(tau, 1 << 12)
-        errs = [abs(cf4_xi(tau, 1 << p) - ref) for p in range(4, 9)]
+        ref = magnus6_xi(tau, 1 << 12)
+        errs = [abs(magnus6_xi(tau, 1 << p) - ref) for p in range(3, 6)]
         for coarse, fine in zip(errs, errs[1:]):
-            assert coarse / fine == pytest.approx(16.0, rel=0.25)
+            assert coarse / fine == pytest.approx(64.0, rel=0.25)
 
     def test_compression_kernel_is_adjoint(self):
-        # CF4 is time-symmetric, so mirroring the stroke at a fixed step
-        # count reproduces the adjoint to rounding, not only to tolerance.
+        # The Magnus step is time-symmetric, so mirroring the stroke at a
+        # fixed step count reproduces the adjoint to rounding, not only to
+        # tolerance.
         for tau in [0.01, 0.3, 1.0]:
-            ue = Unitary2(*_propagate_cf4(tau, FREQS, 37, False))
-            uc = Unitary2(*_propagate_cf4(tau, FREQS, 37, True))
+            ue = Unitary2(*_propagate_magnus6(tau, FREQS, 37, False))
+            uc = Unitary2(*_propagate_magnus6(tau, FREQS, 37, True))
             assert (uc - ue.adjoint()).max_abs() < 1e-13
 
     def test_converged_step_budget(self):
-        # The midpoint rule needs 2,209,792 final steps on this grid and the
-        # lab-frame CF4 kernel 17,538; a regression to either fails here.
+        # The midpoint rule needs 2,209,792 final steps on this grid, the
+        # lab-frame CF4 kernel 17,538 and the co-rotating CF4 kernel 6,444;
+        # a regression to any of them fails here.
         taus = log_spaced(0.01, 1.0, 100)
-        assert sum(evolve_expansion(t, FREQS).steps_used for t in taus) <= 8000
+        assert sum(evolve_expansion(t, FREQS).steps_used for t in taus) <= 3500
 
 
 class TestUnitarity:

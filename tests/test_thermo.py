@@ -14,8 +14,8 @@ from otto_tls import (CycleFrequencies, CycleInputs, Density2, DomainError,
                       energetics_from_states, evolve_expansion,
                       exponent_from_population, friction_from_divergence,
                       gibbs_state, hot_population_window,
-                      negative_friction_window, relative_entropy,
-                      transition_probability)
+                      negative_friction_window, projector_excited,
+                      relative_entropy, transition_probability)
 from otto_tls.thermo import MODE_ENGINE
 
 from conftest import random_stroke_unitary, random_unitary, stroke_unitary
@@ -187,6 +187,30 @@ class TestOracleEquivalence:
                              (en_tr.q_c, en_cf.q_c), (en_tr.q_h, en_cf.q_h)]:
                     assert abs(a - b) <= 1e-10
 
+
+    def test_entry_traces_match_matrix_products(self):
+        # The stage energies as first written: tr(H rho_k) of 2x2 matrix
+        # products, with rho_2 = U rho_1 U^dag and rho_4 = U^dag rho_3 U.
+        def trace(a, b):
+            return (a @ b).trace().real
+
+        rng = random.Random(44)
+        for _ in range(300):
+            p_c = rng.uniform(0.0, 1.0)
+            p_h = rng.uniform(0.0, 1.0)
+            u = random_unitary(rng)
+            h_c = projector_excited("x").scaled(FREQS.nu_c)
+            h_h = projector_excited("y").scaled(FREQS.nu_h)
+            rho1 = gibbs_state(p_c, "x")
+            rho3 = gibbs_state(p_h, "y")
+            e1 = trace(h_c, rho1)
+            e2 = trace(h_h, u @ rho1 @ u.adjoint())
+            e3 = trace(h_h, rho3)
+            e4 = trace(h_c, u.adjoint() @ rho3 @ u)
+            en = energetics_from_states(p_c, p_h, u, FREQS)
+            for got, want in [(en.w_exp, e2 - e1), (en.w_comp, e4 - e3),
+                              (en.q_c, e1 - e4), (en.q_h, e3 - e2)]:
+                assert abs(got - want) <= 1e-13
 
 class TestRelativeEntropy:
     def test_self_divergence_zero(self):
