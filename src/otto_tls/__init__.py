@@ -9,8 +9,7 @@ parameter sweeps behind the friction map and efficiency curves.
 
 __version__ = "0.1.0"
 
-from .complex2 import (Density2, Hermitian2, Matrix2, Unitary2,
-                       eig_hermitian2, exp_neg_i_h)
+from .complex2 import Density2, Hermitian2, Matrix2, Unitary2, exp_neg_i_h
 from .errors import (ConstraintViolation, ConvergenceError, DomainError,
                      OttoError)
 from .propagator import (IntegratorConfig, PropagatorResult, XiPoint,
@@ -30,8 +29,7 @@ from .tls import (CycleFrequencies, StrokeDuration, exponent_from_population,
                   hamiltonian_expansion, projector_excited, ramp_frequency)
 
 __all__ = [
-    "Matrix2", "Hermitian2", "Unitary2", "Density2",
-    "eig_hermitian2", "exp_neg_i_h",
+    "Matrix2", "Hermitian2", "Unitary2", "Density2", "exp_neg_i_h",
     "OttoError", "ConstraintViolation", "DomainError", "ConvergenceError",
     "CycleFrequencies", "StrokeDuration",
     "gibbs_population", "exponent_from_population", "gibbs_state",

@@ -87,13 +87,16 @@ def _add_reservoir_args(p: argparse.ArgumentParser) -> None:
     cold.add_argument("--pc", type=float,
                       help="cold reservoir excited-state population")
     cold.add_argument("--uc", type=float,
-                      help="cold reservoir exponent beta*h*nu_c")
+                      help="cold reservoir exponent beta*h*nu_c (give a "
+                           "negative value in scientific notation as "
+                           "--uc=-1e3)")
     hot = p.add_mutually_exclusive_group(required=True)
     hot.add_argument("--ph", type=float,
                      help="hot reservoir excited-state population")
     hot.add_argument("--uh", type=float,
-                     help="hot reservoir exponent beta*h*nu_h "
-                          "(negative for population inversion)")
+                     help="hot reservoir exponent beta*h*nu_h, negative for "
+                          "population inversion (give a negative value in "
+                          "scientific notation as --uh=-1e3)")
 
 
 def _add_tau_args(p: argparse.ArgumentParser) -> None:

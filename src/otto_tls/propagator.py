@@ -10,9 +10,10 @@ generator is linear in time, so the sixth-order Magnus expansion (Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) sums in closed su(2) form
 to one rotation vector per step, and each step is a single exact 2x2
 exponential.  Every intermediate U is therefore unitary to rounding, and
-the constant sz part keeps every rotation angle away from 0.  The step
-count is doubled until the adiabaticity parameter xi - the only scalar
-consumed downstream - is self-consistent to the configured tolerance.
+the constant sz part keeps every rotation angle above 0 below about 4e161
+steps (see _propagate_magnus6).  The step count is doubled until the
+adiabaticity parameter xi - the only scalar consumed downstream - is
+self-consistent to the configured tolerance.
 
 propagate_fixed_steps keeps the second-order exponential-midpoint rule as
 a simple fixed-step reference.
@@ -138,10 +139,14 @@ def _propagate_magnus6(tau: float, freqs: CycleFrequencies, steps: int,
         w = a - (a x b)/6 - b x (a x b)/60 + a x (a x (a x b))/90
           = (X_k, -Z*delta*(1/6 + (X_k^2 + Z^2)/90), Z*(1 - delta^2/60)),
 
-    and the step is exp(-i*w.sigma): one sqrt, sin and cos.  w_z is never
-    0 (resolve_steps keeps delta below pi/64), so the rotation angle never
-    is either: a subnormal tau gives W = Rz(pi/2)^dagger and U = I without
-    a guard.  The scalar phase is
+    and the step is exp(-i*w.sigma): one sqrt, sin and cos.  In exact
+    arithmetic w_z is never 0 (resolve_steps keeps delta below pi/64), and
+    in floats w_z^2 stays above 0 up to about 4e161 steps, so the rotation
+    angle is positive there: a subnormal tau gives W = Rz(pi/2)^dagger and
+    U = I without a guard.  Past that count w_z^2 underflows, and with a
+    small enough w_x the angle is 0 and sin(rho)/rho divides by zero.  Such
+    a run could never finish anyway; bounding it is a step budget's job,
+    not this kernel's.  The scalar phase is
     the exact integral Phi(tau) = 2*tau*(nu_c + nu_h).  The compression
     stroke is the same W problem mirrored in time with the generator's sign
     flipped, which turns w into -w step by step, and transforms back as

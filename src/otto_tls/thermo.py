@@ -14,11 +14,23 @@ computed as the sum of an adiabatic part W_ad = -(nu_h - nu_c)(p_h - p_c)
 and a friction part W_fric = xi [nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)],
 the same factored form as the heats; the friction part is also
 reachable through the relative entropy between the finite-time post-stroke
-state and its quasi-static reference, which is how entropy production can
-be non-negative while friction work goes negative at inverted reservoirs.
+state and its quasi-static reference (Plastina et al., PRL 113, 260601
+(2014)), which is how entropy production can be non-negative while
+friction work goes negative at inverted reservoirs.
 
 The cycle operates as an engine when W_net < 0 and Q_h > 0; efficiency
-eta = -W_net/Q_h is reported only in that mode.
+eta = -W_net/Q_h is reported only in that mode.  There
+D = p_h - p_c - xi (1 - 2 p_c) = Q_h/nu_h is positive, and eta relates to
+the quasi-static eta_ad = 1 - nu_c/nu_h through two exact identities:
+
+    eta - eta_ad = -2 (nu_c/nu_h) xi (1 - p_h - p_c) / D
+    d eta / d xi =  2 (nu_c/nu_h) (p_h - p_c) (p_h + p_c - 1) / D^2
+
+So a finite-time engine beats eta_ad exactly when p_h + p_c > 1, and eta
+rises with xi (a faster cycle is more efficient) exactly when
+(p_h - p_c)(p_h + p_c - 1) > 0, a sign that does not depend on xi.  Both
+need a reservoir with p > 1/2, a negative temperature; de Assis et al.,
+PRL 122, 240602 (2019), observed the effect.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .complex2 import Density2, Unitary2, eig_hermitian2
+from .complex2 import Density2, Unitary2
 from .errors import DomainError
 from .propagator import transition_probability
 from .tls import CycleFrequencies, gibbs_state, projector_excited
@@ -188,37 +200,43 @@ def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
                            eta, mode)
 
 
-def relative_entropy(rho: Density2, sigma: Density2) -> float:
-    """Quantum relative entropy D(rho||sigma) in nats.
+def _bloch(m: Density2) -> tuple[float, float, float]:
+    """Bloch vector r of m = (I + r.sigma)/2, read off the entries."""
+    a11, a12, _, a22 = m
+    return 2.0 * a12.real, -2.0 * a12.imag, (a11 - a22).real
 
-    Computed from the eigendecompositions of both states; 0*ln(0) is taken
-    as 0.  A support violation (rho putting weight where sigma has none)
-    returns +inf.
+
+def relative_entropy(rho: Density2, sigma: Density2) -> float:
+    """Quantum relative entropy D(rho||sigma) in nats, in closed Bloch form.
+
+    With rho = (I + r.sigma)/2 and sigma = (I + s.sigma)/2,
+
+        D = sum_l l ln l - (1/2) ln((1 - |s|^2)/4) - (r.s/|s|) artanh|s|,
+
+    where l = (1 +- |r|)/2 are the eigenvalues of rho, 0 ln 0 = 0, and the
+    last term is 0 at s = 0.  It is evaluated as
+    sum_l l ln l - sum_m w_m ln m over the eigenvalues m = (1 +- |s|)/2 of
+    sigma, where w = (1 +- r.s/|s|)/2 is rho's weight on the matching
+    eigenvector.  A pure sigma (smaller eigenvalue at most _SUPPORT_EIG_TOL)
+    gives +inf when rho's weight on its kernel exceeds _SUPPORT_WEIGHT_TOL,
+    and otherwise the kernel term is dropped.
     """
-    lam, v = eig_hermitian2(rho)
-    mu, w = eig_hermitian2(sigma)
+    rx, ry, rz = _bloch(rho)
+    sx, sy, sz = _bloch(sigma)
+    r = math.hypot(rx, ry, rz)
+    s = math.hypot(sx, sy, sz)
+    rs_hat = (rx * sx + ry * sy + rz * sz) / s if s > 0.0 else 0.0
 
     d = 0.0
-    for lam_i in lam:
-        if lam_i > _SUPPORT_EIG_TOL:
-            d += lam_i * math.log(lam_i)
-
-    # Overlap weights |<v_i|w_j>|^2; columns of v, w are the eigenvectors.
-    vecs_v = ((v.a11, v.a21), (v.a12, v.a22))
-    vecs_w = ((w.a11, w.a21), (w.a12, w.a22))
-    for i, lam_i in enumerate(lam):
-        if lam_i <= _SUPPORT_EIG_TOL:
-            continue
-        for j, mu_j in enumerate(mu):
-            ov = (vecs_v[i][0].conjugate() * vecs_w[j][0]
-                  + vecs_v[i][1].conjugate() * vecs_w[j][1])
-            weight = lam_i * abs(ov) ** 2
-            if mu_j <= _SUPPORT_EIG_TOL:
-                if weight > _SUPPORT_WEIGHT_TOL:
-                    return math.inf
-                continue
-            d -= weight * math.log(mu_j)
-    return d
+    for lam in (0.5 * (1.0 + r), 0.5 * (1.0 - r)):
+        if lam > 0.0:
+            d += lam * math.log(lam)
+    w_lo = 0.5 * (1.0 - rs_hat)
+    mu_lo = 0.5 * (1.0 - s)
+    d -= (1.0 - w_lo) * math.log(0.5 * (1.0 + s))
+    if mu_lo <= _SUPPORT_EIG_TOL:
+        return math.inf if w_lo > _SUPPORT_WEIGHT_TOL else d
+    return d - w_lo * math.log(mu_lo)
 
 
 class StrokeFriction(namedtuple(

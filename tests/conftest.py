@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from otto_tls import CycleFrequencies, Hermitian2, Unitary2, exp_neg_i_h
@@ -11,6 +12,11 @@ from otto_tls.tls import KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y
 def reference_freqs():
     """The frequency pair used throughout the reference figures."""
     return CycleFrequencies(2.0, 3.6)
+
+
+def to_numpy(m) -> np.ndarray:
+    """A 2x2 matrix as a complex numpy array, for dense oracles."""
+    return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
 
 
 def random_hermitian(rng: random.Random, scale: float = 2.0) -> Hermitian2:

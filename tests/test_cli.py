@@ -147,6 +147,15 @@ class TestCycle:
         for expected in ("p_c = 0", "p_h = 1", "eta = 0.444444444444"):
             assert expected in lines
 
+    @pytest.mark.parametrize("uh", [("--uh=-1e3",), ("--uh", "-800")])
+    def test_negative_exponent_forms(self, uh):
+        # argparse takes "-1e3" after a space for an option string, so a
+        # negative exponent in scientific notation needs the "=" form.
+        code, out, err = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--pc", "0.4", *uh, "--xi", "0.1")
+        assert (code, err) == (0, "")
+        assert "p_h = 1" in out.splitlines()
+
     def test_no_negative_zero(self):
         # At p_c = p_h and xi = 0, q_c and w_ad are IEEE -0.0.
         code, out, _ = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",

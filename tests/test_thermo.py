@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otto_tls import (CycleFrequencies, CycleInputs, Density2, DomainError,
@@ -18,16 +18,14 @@ from otto_tls import (CycleFrequencies, CycleInputs, Density2, DomainError,
                       relative_entropy, transition_probability)
 from otto_tls.thermo import MODE_ENGINE
 
-from conftest import random_stroke_unitary, random_unitary, stroke_unitary
+from conftest import (random_stroke_unitary, random_unitary, stroke_unitary,
+                      to_numpy)
 
 FREQS = CycleFrequencies(2.0, 3.6)
 
 populations = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
 xis = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
-
-
-def to_numpy(m):
-    return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
+unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 class TestClosedForms:
@@ -191,16 +189,16 @@ class TestOracleEquivalence:
     def test_entry_traces_match_matrix_products(self):
         # The stage energies as first written: tr(H rho_k) of 2x2 matrix
         # products, with rho_2 = U rho_1 U^dag and rho_4 = U^dag rho_3 U.
-        def trace(a, b):
-            return (a @ b).trace().real
+        def trace(h, rho):
+            return np.trace(h @ to_numpy(rho)).real
 
         rng = random.Random(44)
         for _ in range(300):
             p_c = rng.uniform(0.0, 1.0)
             p_h = rng.uniform(0.0, 1.0)
             u = random_unitary(rng)
-            h_c = projector_excited("x").scaled(FREQS.nu_c)
-            h_h = projector_excited("y").scaled(FREQS.nu_h)
+            h_c = FREQS.nu_c * to_numpy(projector_excited("x"))
+            h_h = FREQS.nu_h * to_numpy(projector_excited("y"))
             rho1 = gibbs_state(p_c, "x")
             rho3 = gibbs_state(p_h, "y")
             e1 = trace(h_c, rho1)
@@ -211,6 +209,12 @@ class TestOracleEquivalence:
             for got, want in [(en.w_exp, e2 - e1), (en.w_comp, e4 - e3),
                               (en.q_c, e1 - e4), (en.q_h, e3 - e2)]:
                 assert abs(got - want) <= 1e-13
+
+
+def rotated(u, rho) -> Density2:
+    """The state u rho u^dag."""
+    return Density2(*(u @ rho @ u.adjoint()).entries())
+
 
 class TestRelativeEntropy:
     def test_self_divergence_zero(self):
@@ -245,6 +249,36 @@ class TestRelativeEntropy:
         pure = Density2(1.0, 0.0, 0.0, 0.0)
         other = Density2(0.0, 0.0, 0.0, 1.0)
         assert relative_entropy(other, pure) == math.inf
+
+    def test_pure_sigma(self):
+        # With support (rho = sigma) the kernel term drops and D = 0; any
+        # weight of rho on sigma's kernel gives +inf.
+        rng = random.Random(19)
+        for _ in range(50):
+            u = random_unitary(rng)
+            pure = rotated(u, gibbs_state(1.0, "x"))
+            assert relative_entropy(pure, pure) == pytest.approx(0.0, abs=1e-12)
+            for p in (0.0, 0.3, 0.99):
+                rho = rotated(u, gibbs_state(p, "x"))
+                assert relative_entropy(rho, pure) == math.inf
+
+    def test_matches_eigh_logm_oracle_on_random_pairs(self):
+        # Every tenth rho is pure, and every tenth sigma maximally mixed.
+        def oracle(rho, sigma):
+            lam = np.linalg.eigvalsh(to_numpy(rho))
+            mu, w = np.linalg.eigh(to_numpy(sigma))
+            log_sigma = w @ np.diag(np.log(mu)) @ w.conj().T
+            return (sum(x * math.log(x) for x in lam if x > 0.0)
+                    - np.trace(to_numpy(rho) @ log_sigma).real)
+
+        rng = random.Random(17)
+        for k in range(1200):
+            p = float(k % 20 == 0) if k % 10 == 0 else rng.uniform(0.0, 1.0)
+            q = 0.5 if k % 10 == 1 else rng.uniform(0.001, 0.999)
+            rho = rotated(random_unitary(rng), gibbs_state(p, "x"))
+            sigma = rotated(random_unitary(rng), gibbs_state(q, "y"))
+            assert abs(relative_entropy(rho, sigma)
+                       - oracle(rho, sigma)) <= 1e-12
 
     def test_nonnegative_on_random_pairs(self):
         rng = random.Random(13)
@@ -373,6 +407,49 @@ class TestEfficiencyEnhancement:
                     etas.append(en.eta)
             assert len(etas) > 10
             assert all(b > a for a, b in zip(etas, etas[1:]))
+
+    @given(unit_interval, unit_interval, xis, xis,
+           st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=300, deadline=None)
+    def test_efficiency_identities_over_the_full_square(self, p_c, p_h,
+                                                        xi_a, xi_b, ratio):
+        # In engine mode D = p_h - p_c - xi (1 - 2 p_c) = q_h / nu_h > 0, and
+        #   eta - eta_ad = -2 (nu_c/nu_h) xi (1 - p_h - p_c) / D,
+        #   d eta / d xi = 2 (nu_c/nu_h) (p_h - p_c)(p_h + p_c - 1) / D^2.
+        # eta is a Moebius function of xi, so the derivative identity also
+        # holds exactly for the secant, with D^2 replaced by D_a D_b.
+        freqs = CycleFrequencies(3.6 * ratio, 3.6)
+        k = freqs.nu_c / freqs.nu_h
+        eta_ad = adiabatic_efficiency(freqs)
+        points = []
+        for xi in (xi_a, xi_b):
+            en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
+            assume(en.is_engine)
+            d = p_h - p_c - xi * (1.0 - 2.0 * p_c)
+            assert d > 0.0
+            # Stage energies near the subnormal range keep too few digits
+            # for eta = -w_net/q_h to mean anything.
+            assume(d > 1e-300)
+            scale = max(1.0, abs(en.eta),
+                        (abs(en.w_exp) + abs(en.w_comp)) / en.q_h)
+            gain = -2.0 * k * (1.0 - p_h - p_c) * (xi / d)
+            assert abs((en.eta - eta_ad) - gain) <= 1e-12 * scale
+            if abs(gain) > 1e-12 * scale:
+                assert (en.eta > eta_ad) == efficiency_exceeds_adiabatic(
+                    p_c, p_h)
+            points.append((xi, en.eta, d, scale))
+        (xi_a, eta_a, d_a, s_a), (xi_b, eta_b, d_b, s_b) = points
+        rule = (p_h - p_c) * (p_h + p_c - 1.0)
+        step = 2.0 * k * (rule / d_a) * ((xi_b - xi_a) / d_b)
+        tol = 1e-12 * (s_a + s_b)
+        assert abs((eta_b - eta_a) - step) <= tol
+        if abs(step) > tol:
+            # The sign of d eta / d xi is the sign of the rule at every xi,
+            # and eta can only rise with xi when some population is > 1/2.
+            rising = (eta_b - eta_a) * (xi_b - xi_a) > 0.0
+            assert rising == (rule > 0.0)
+            if rising:
+                assert max(p_c, p_h) > 0.5
 
     def test_positive_temperatures_never_beat_adiabatic(self):
         eta_ad = adiabatic_efficiency(FREQS)
