@@ -13,7 +13,8 @@ exponential.  Every intermediate U is therefore unitary to rounding, and
 the constant sz part keeps every rotation angle above 0 below about 4e161
 steps (see _propagate_magnus6).  The step count is doubled until the
 adiabaticity parameter xi - the only scalar consumed downstream - is
-self-consistent to the configured tolerance.
+self-consistent to the configured tolerance.  Each integration returns one
+PropagatorResult, and xi_sweep returns one per stroke.
 
 propagate_fixed_steps keeps the second-order exponential-midpoint rule as
 a simple fixed-step reference.
@@ -61,16 +62,24 @@ class IntegratorConfig(namedtuple("IntegratorConfig",
 
 
 class PropagatorResult(namedtuple("PropagatorResult",
-                                  "U steps_used xi_error_estimate xi")):
-    """Converged stroke propagator with its convergence diagnostics."""
+                                  "U steps_used xi_error_estimate xi converged")):
+    """Stroke propagator with how it was obtained.
+
+    steps_used is the final step count and xi_error_estimate the last
+    |xi_2n - xi_n|; converged is False only on ConvergenceError.best.  xi
+    is |amp|^2 >= 0, and rounding can take it just past 1/2 in the sudden
+    limit: a value within XI_MAX_SLACK of 1/2 is stored as 1/2, so every
+    consumer sees xi in [0, 1/2].  Larger values and NaN raise DomainError.
+    """
 
     __slots__ = ()
 
     def __new__(cls, U: Unitary2, steps_used: int, xi_error_estimate: float,
-                xi: float):
-        if not (-XI_MAX_SLACK <= xi <= 0.5 + XI_MAX_SLACK):
+                xi: float, converged: bool = True):
+        if not (0.0 <= xi <= 0.5 + XI_MAX_SLACK):
             raise DomainError(f"xi={xi} outside [0, 1/2]")
-        return tuple.__new__(cls, (U, steps_used, xi_error_estimate, xi))
+        return tuple.__new__(cls, (U, steps_used, xi_error_estimate,
+                                   min(xi, 0.5), converged))
 
 
 def _propagate(tau: float, freqs: CycleFrequencies,
@@ -249,7 +258,7 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         if err < cfg.xi_tolerance:
             return PropagatorResult(Unitary2(*raw), n, err, xi)
         xi_prev = xi
-    best = PropagatorResult(Unitary2(*raw), n, err, xi)
+    best = PropagatorResult(Unitary2(*raw), n, err, xi, converged=False)
     raise ConvergenceError(
         f"xi not converged to {cfg.xi_tolerance} after "
         f"{cfg.max_doublings} doublings (tau={tau} ms)", best=best)
@@ -287,25 +296,18 @@ def propagate_fixed_steps(tau: float, freqs: CycleFrequencies,
     return Unitary2(*_propagate(tau, freqs, steps))
 
 
-class XiPoint(namedtuple("XiPoint", "tau xi error_estimate converged")):
-    """One sweep sample; converged is False when doubling ran out."""
-
-    __slots__ = ()
-
-
 def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,
-             cfg: IntegratorConfig = IntegratorConfig()) -> list[XiPoint]:
-    """Converged xi for each stroke duration (ms), in input order.
+             cfg: IntegratorConfig = IntegratorConfig()) -> list[PropagatorResult]:
+    """evolve_expansion for each stroke duration (ms), in input order.
 
     The one tau loop: the xi subcommand and run_tau_sweep both call it.  A
-    point whose doubling runs out is flagged converged=False and carries
-    the ConvergenceError's best estimate; it does not abort the sweep.
+    point whose doubling runs out is the ConvergenceError's best estimate,
+    with converged=False; it does not abort the sweep.
     """
     out = []
     for tau in tau_values:
         try:
-            res, converged = evolve_expansion(tau, freqs, cfg), True
+            out.append(evolve_expansion(tau, freqs, cfg))
         except ConvergenceError as exc:
-            res, converged = exc.best, False
-        out.append(XiPoint(tau, res.xi, res.xi_error_estimate, converged))
+            out.append(exc.best)
     return out

@@ -4,15 +4,16 @@ Times are in ms, as everywhere below the CLI.  A sweep spec holds its grid
 as a tuple: TauSweepSpec the stroke durations, PhaseMapSpec the population
 values; log_spaced and linear_spaced build them, and tau_grid_us builds the
 CLI's tau grid (us) from its bounds.  run_tau_sweep integrates its grid
-through propagator.xi_sweep, the loop behind the xi(tau) curve; the phase
-map takes xi as given.  Every energy comes from thermo.cycle_energetics: a
-tau-sweep row and a phase-map cell at the same (p_c, p_h, xi) report the
-same friction work and mode.  Sweep points are independent pure
-computations, evaluated in input order.  Only the phase map may run its
-cells on a thread pool (threads); it assembles them in input order, so its
-output is bitwise deterministic whatever the thread count.  The tau loop is
-serial: its per-point work is pure Python that holds the interpreter lock,
-and a pool measured slower.
+through propagator.xi_sweep, the loop behind the xi(tau) curve, and pairs
+each PropagatorResult with its CycleEnergetics; the phase map takes xi as
+given.  Every energy comes from thermo.cycle_energetics: a tau-sweep point
+and a phase-map cell at the same (p_c, p_h, xi) report the same friction
+work and mode.  Sweep points are independent pure computations, evaluated
+in input order.  Only the phase map may run its cells on a thread pool
+(threads); it assembles them in input order, so its output is bitwise
+deterministic whatever the thread count.  The tau loop is serial: its
+per-point work is pure Python that holds the interpreter lock, and a pool
+measured slower.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .propagator import IntegratorConfig, xi_sweep
-from .thermo import CycleInputs, cycle_energetics
+from .propagator import IntegratorConfig, PropagatorResult, xi_sweep
+from .thermo import CycleEnergetics, CycleInputs, cycle_energetics
 from .tls import CycleFrequencies, StrokeDuration
 
 
@@ -96,27 +97,17 @@ class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus cfg")):
         return tuple.__new__(cls, (freqs, p_c, p_h, taus, cfg))
 
 
-class TauSweepRow(namedtuple("TauSweepRow",
-                             "tau xi xi_error converged energetics")):
-    """One tau-sweep point; tau is in ms, as in XiPoint."""
-
-    __slots__ = ()
-
-
-def run_tau_sweep(spec: TauSweepSpec) -> list[TauSweepRow]:
+def run_tau_sweep(
+        spec: TauSweepSpec) -> list[tuple[PropagatorResult, CycleEnergetics]]:
     """xi_sweep over spec.taus, then the cycle energetics of each point.
 
-    A point whose doubling runs out is flagged converged=False and keeps
-    the best available xi; it never aborts the sweep.  The energetics take
-    that xi clamped to [0, 1/2]; the row reports it unclamped.
+    Returns (PropagatorResult, CycleEnergetics) pairs in grid order.  A
+    point whose doubling runs out has converged=False and keeps the best
+    available xi; it never aborts the sweep.
     """
-    rows = []
-    for pt in xi_sweep(spec.taus, spec.freqs, spec.cfg):
-        xi = min(max(pt.xi, 0.0), 0.5)
-        en = cycle_energetics(CycleInputs(spec.freqs, spec.p_c, spec.p_h, xi))
-        rows.append(TauSweepRow(pt.tau, pt.xi, pt.error_estimate,
-                                pt.converged, en))
-    return rows
+    return [(pt, cycle_energetics(CycleInputs(spec.freqs, spec.p_c,
+                                              spec.p_h, pt.xi)))
+            for pt in xi_sweep(spec.taus, spec.freqs, spec.cfg)]
 
 
 class PhaseMapSpec(namedtuple("PhaseMapSpec", "freqs ph_values pc_values xi")):

@@ -20,8 +20,13 @@ friction work goes negative at inverted reservoirs.
 
 The cycle operates as an engine when W_net < 0 and Q_h > 0; efficiency
 eta = -W_net/Q_h is reported only in that mode.  There
-D = p_h - p_c - xi (1 - 2 p_c) = Q_h/nu_h is positive, and eta relates to
-the quasi-static eta_ad = 1 - nu_c/nu_h through two exact identities:
+D = p_h - p_c - xi (1 - 2 p_c) = Q_h/nu_h is positive, eta is computed in
+its population form
+
+    eta = 1 - (nu_c/nu_h) [p_h - p_c + xi (1 - 2 p_h)] / D,
+
+and it relates to the quasi-static eta_ad = 1 - nu_c/nu_h through two
+exact identities:
 
     eta - eta_ad = -2 (nu_c/nu_h) xi (1 - p_h - p_c) / D
     d eta / d xi =  2 (nu_c/nu_h) (p_h - p_c) (p_h + p_c - 1) / D^2
@@ -103,16 +108,6 @@ def adiabatic_efficiency(freqs: CycleFrequencies) -> float:
     return 1.0 - freqs.nu_c / freqs.nu_h
 
 
-def efficiency_closed_form(inputs: CycleInputs) -> float:
-    """eta = 1 - (nu_c/nu_h) * [p_h - p_c + xi(1-2p_h)] / [p_h - p_c - xi(1-2p_c)]."""
-    num = inputs.p_h - inputs.p_c + inputs.xi * (1.0 - 2.0 * inputs.p_h)
-    den = inputs.p_h - inputs.p_c - inputs.xi * (1.0 - 2.0 * inputs.p_c)
-    if den == 0.0:
-        raise DomainError(
-            "efficiency undefined: hot-stroke heat is zero for these inputs")
-    return 1.0 - (inputs.freqs.nu_c / inputs.freqs.nu_h) * (num / den)
-
-
 def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
     """Closed-form stage energies for one cycle."""
     freqs, p_c, p_h, xi = inputs
@@ -125,17 +120,22 @@ def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
     w_exp = dnu * p_c + nu_h * xi * a_c
     w_comp = -dnu * p_h + nu_c * xi * a_h
     # The heats and the net work are factored so the population difference
-    # cancels before the scaling, as in efficiency_closed_form: near the
-    # q_h = 0 edge, two rounded products lost every digit of q_h, and near
-    # p_h = p_c, w_exp + w_comp rounded a net work of -9e-17 to 0.0.
-    q_c = -nu_c * (dp + xi * a_h)
-    q_h = nu_h * (dp - xi * a_c)
+    # cancels before the scaling: near the q_h = 0 edge, two rounded
+    # products lost every digit of q_h, and near p_h = p_c, w_exp + w_comp
+    # rounded a net work of -9e-17 to 0.0.
+    cold = dp + xi * a_h
+    hot = dp - xi * a_c  # D, positive in engine mode
+    q_c = -nu_c * cold
+    q_h = nu_h * hot
     w_ad = -dnu * dp
     w_fric = xi * (nu_h * a_c + nu_c * a_h)
     w_net = w_ad + w_fric
 
     mode = _classify(w_net, q_h)
-    eta = -w_net / q_h if mode == MODE_ENGINE else None
+    # eta = -w_net/q_h = 1 + q_c/q_h, with nu_c/nu_h taken out of the ratio
+    # so that the population brackets keep their digits where the stage
+    # energies are subnormal.
+    eta = 1.0 - (nu_c / nu_h) * (cold / hot) if mode == MODE_ENGINE else None
     # tuple.__new__ skips the frame of the generated namedtuple __new__,
     # which checks nothing; every phase-map cell comes through here.
     return tuple.__new__(CycleEnergetics, (w_exp, w_comp, q_c, q_h, w_net,

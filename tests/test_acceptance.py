@@ -135,36 +135,36 @@ def test_criterion_7_negative_temperature_sweep():
     taus = log_spaced(0.01, 1.0, 25)  # ms
 
     rows = run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, taus))
-    etas = [r.energetics.eta for r in rows]
-    assert all(r.energetics.mode == MODE_ENGINE for r in rows)
-    assert all(r.energetics.q_h > 0 for r in rows)
-    assert all(r.energetics.w_net < 0 for r in rows)
+    etas = [en.eta for _, en in rows]
+    assert all(en.mode == MODE_ENGINE for _, en in rows)
+    assert all(en.q_h > 0 for _, en in rows)
+    assert all(en.w_net < 0 for _, en in rows)
     assert all(e > ETA_AD for e in etas)
     assert etas[0] == max(etas)
 
     rows0 = run_tau_sweep(TauSweepSpec(FREQS, 1.0 / 3.0, 0.8, taus))
-    assert all(abs(r.energetics.w_fric) <= 1e-10 for r in rows0)
-    w_nets = [r.energetics.w_net for r in rows0]
+    assert all(abs(en.w_fric) <= 1e-10 for _, en in rows0)
+    w_nets = [en.w_net for _, en in rows0]
     assert max(w_nets) - min(w_nets) <= 1e-9
 
     rows_p = run_tau_sweep(TauSweepSpec(FREQS, 0.25, 0.8, taus))
-    assert all(r.energetics.w_fric > 0 for r in rows_p if r.xi > 1e-12)
+    assert all(en.w_fric > 0 for pt, en in rows_p if pt.xi > 1e-12)
     report(7, "p_c=0.4 engine everywhere with eta>eta_ad maximal at short "
               "tau; p_c=1/3 frictionless with constant W_net; p_c=0.25 "
               "friction positive")
 
 
 def test_criterion_8_positive_temperature_sweep():
-    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.2, 0.4,
-                                      log_spaced(0.01, 1.0, 25)))
-    assert all(r.energetics.w_fric > 0 for r in rows if r.xi > 1e-12)
-    engine = [r.energetics.mode == MODE_ENGINE for r in rows]
+    taus = log_spaced(0.01, 1.0, 25)  # ms
+    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.2, 0.4, taus))
+    assert all(en.w_fric > 0 for pt, en in rows if pt.xi > 1e-12)
+    engine = [en.mode == MODE_ENGINE for _, en in rows]
     assert not engine[0] and engine[-1]
     switch = engine.index(True)
     assert all(engine[switch:])  # single threshold, engine above it
-    eta_tail = rows[-1].energetics.eta
+    eta_tail = rows[-1][1].eta
     assert eta_tail < ETA_AD and ETA_AD - eta_tail < 0.01
-    report(8, f"engine onset at tau ~ {rows[switch].tau * 1e3:.0f} us; "
+    report(8, f"engine onset at tau ~ {taus[switch] * 1e3:.0f} us; "
               f"eta -> eta_ad from below (eta(1ms)={eta_tail:.4f})")
 
 

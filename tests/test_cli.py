@@ -127,9 +127,18 @@ class TestCycle:
                       if " = " in line)
         assert float(values["xi"]) == pytest.approx(0.0149863, abs=1e-5)
 
+    def test_tau_at_the_sudden_limit(self):
+        # The integrated xi rounds one ulp above 1/2 at this stroke; it is
+        # stored as 1/2, as xi and tau-sweep print it.
+        code, out, err = run_cli("cycle", "--nu-c", "1", "--nu-h", "10",
+                                 "--pc", "0.3", "--ph", "0.8",
+                                 "--tau", "3e-6")
+        assert (code, err) == (0, "")
+        assert "xi = 0.5" in out.splitlines()
+
     def test_engine_edge_where_q_h_nearly_vanishes(self):
-        # q_h is 4e-16 here, so -w_net/q_h and the population form of eta
-        # differ by about 4%; the cycle is still reported.
+        # q_h is 4e-16 here and eta about 3e14; the cycle is still
+        # reported.
         code, out, err = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
                                  "--pc", "0.5658384796150766",
                                  "--ph", "0.5100447308006065",
@@ -263,6 +272,13 @@ class TestPhaseMap:
         assert [r["mode"] for r in grid] == [w.mode for w in want]
         assert [float(r["w_fric"]) for r in grid] == pytest.approx(
             [w.w_fric for w in want], rel=1e-11, abs=1e-12)
+
+    def test_tau_at_the_sudden_limit(self):
+        grid = ("--ph-points", "3", "--pc-points", "3")
+        freqs = ("--nu-c", "1", "--nu-h", "10")
+        code, out, err = run_cli("phase-map", *freqs, *grid, "--tau", "3e-6")
+        assert (code, err) == (0, "")
+        assert out == run_cli("phase-map", *freqs, *grid, "--xi", "0.5")[1]
 
     def test_bad_xi_is_named(self):
         # The same message as cycle --xi gives for the same value.

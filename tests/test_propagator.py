@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from otto_tls import (ConvergenceError, CycleFrequencies, DomainError,
-                      IntegratorConfig, Unitary2,
+                      IntegratorConfig, PropagatorResult, Unitary2,
                       evolve_expansion, integrate_compression,
                       propagate_fixed_steps, transition_probability, xi_sweep)
 from otto_tls.propagator import _propagate_magnus6
@@ -125,7 +125,7 @@ class TestLimits:
     def test_xi_bounds_across_taus(self):
         for tau in [0.001, 0.01, 0.05, 0.2, 0.5, 1.0]:
             xi = evolve_expansion(tau, FREQS).xi
-            assert -1e-12 <= xi <= 0.5 + 1e-9
+            assert 0.0 <= xi <= 0.5
 
 
 class TestConvergence:
@@ -170,7 +170,20 @@ class TestConvergence:
         assert best is not None
         assert best.steps_used == 58
         assert best.xi_error_estimate >= cfg.xi_tolerance
-        assert 0.0 <= best.xi <= 0.5 + 1e-9
+        assert 0.0 <= best.xi <= 0.5
+        assert not best.converged
+        assert evolve_expansion(1.0, FREQS).converged
+
+    def test_sudden_limit_is_stored_as_one_half(self):
+        # Rounding puts this stroke's xi one ulp above 1/2; the result
+        # stores 1/2, so cycle_energetics accepts it.
+        res = evolve_expansion(3e-9, CycleFrequencies(1.0, 10.0))
+        assert res.xi == 0.5 and res.converged
+        u = res.U
+        assert PropagatorResult(u, 8, 0.0, 0.5 + 1e-9).xi == 0.5
+        for bad in (0.5 + 2e-9, -1e-300, math.nan):
+            with pytest.raises(DomainError, match="outside"):
+                PropagatorResult(u, 8, 0.0, bad)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -268,9 +281,9 @@ class TestSweep:
         taus = [0.3, 0.05, 0.1]
         a = xi_sweep(taus, FREQS)
         b = xi_sweep(taus, FREQS)
-        assert [p.tau for p in a] == taus
-        assert [(p.tau, p.xi, p.error_estimate) for p in a] == \
-               [(p.tau, p.xi, p.error_estimate) for p in b]
+        assert [p.xi for p in a] == [evolve_expansion(t, FREQS).xi
+                                     for t in taus]
+        assert a == b
 
     def test_failed_points_flagged_not_fatal(self):
         cfg = IntegratorConfig(xi_tolerance=1e-12, max_doublings=1)
@@ -278,7 +291,7 @@ class TestSweep:
         assert len(pts) == 2
         assert pts[0].converged  # trivial stroke converges immediately
         assert not pts[1].converged
-        assert pts[1].error_estimate >= cfg.xi_tolerance
+        assert pts[1].xi_error_estimate >= cfg.xi_tolerance
 
     def test_limit_endpoints(self):
         pts = xi_sweep([1e-4, 2.0], FREQS)

@@ -10,9 +10,9 @@ import otto_tls
 from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       CycleInputs, Density2, DomainError, Hermitian2,
                       IntegratorConfig, Matrix2, PhaseMapRow, PhaseMapSpec,
-                      PropagatorResult, StrokeDuration, StrokeFriction, TauSweepRow, TauSweepSpec, Unitary2,
-                      XiPoint, cycle_energetics, evolve_expansion,
-                      exp_neg_i_h, exponent_from_population,
+                      PropagatorResult, StrokeDuration, StrokeFriction,
+                      TauSweepSpec, Unitary2, cycle_energetics,
+                      evolve_expansion, exp_neg_i_h, exponent_from_population,
                       friction_from_divergence, gibbs_population, gibbs_state,
                       run_phase_map, run_tau_sweep, xi_sweep)
 from otto_tls.sweep import linear_spaced, log_spaced, tau_grid_us
@@ -31,13 +31,11 @@ SAMPLES = [
     StrokeDuration(0.3),
     IntegratorConfig(xi_tolerance=1e-8, max_doublings=12),
     evolve_expansion(0.3, FREQS),
-    xi_sweep([0.3], FREQS)[0],
     INPUTS,
     cycle_energetics(INPUTS),
     friction_from_divergence(0.4, exponent_from_population(0.4), U,
                              "expansion", FREQS),
     TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 3)),
-    run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 2)))[0],
     PhaseMapSpec(FREQS, [0.0, 1.0], [0.0, 0.5]),
     run_phase_map(PhaseMapSpec(FREQS, [0.2, 0.8], [0.1, 0.4]), threads=1)[0],
 ]
@@ -49,7 +47,7 @@ def test_samples_cover_every_public_record():
     public = {getattr(otto_tls, n) for n in otto_tls.__all__}
     records = {c for c in public if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in SAMPLES}
-    assert len(records) == 16  # 13 records and the three Matrix2 roles
+    assert len(records) == 14  # 11 records and the three Matrix2 roles
 
 
 RECORD_FIELDS = {
@@ -60,13 +58,11 @@ RECORD_FIELDS = {
     "CycleFrequencies": "nu_c nu_h",
     "StrokeDuration": "tau",
     "IntegratorConfig": "xi_tolerance max_doublings",
-    "PropagatorResult": "U steps_used xi_error_estimate xi",
-    "XiPoint": "tau xi error_estimate converged",
+    "PropagatorResult": "U steps_used xi_error_estimate xi converged",
     "CycleInputs": "freqs p_c p_h xi",
     "CycleEnergetics": "w_exp w_comp q_c q_h w_net w_ad w_fric eta mode",
     "StrokeFriction": "work divergence inv_beta_eff singular_reference",
     "TauSweepSpec": "freqs p_c p_h taus cfg",
-    "TauSweepRow": "tau xi xi_error converged energetics",
     "PhaseMapSpec": "freqs ph_values pc_values xi",
     "PhaseMapRow": "p_h p_c w_fric mode on_zero_line",
 }
@@ -131,7 +127,8 @@ class TestConstruction:
         spec = TauSweepSpec(FREQS, 0.4, 0.8, grid)
         grid.append(-5.0)  # after the spec checked its grid
         assert spec.taus == tuple(grid[:3])
-        assert [r.tau for r in run_tau_sweep(spec)] == grid[:3]
+        assert [pt for pt, _ in run_tau_sweep(spec)] == \
+            xi_sweep(grid[:3], FREQS)
         assert hash(spec) == hash(TauSweepSpec(FREQS, 0.4, 0.8, grid[:3]))
 
     def test_phase_map_spec_keeps_its_own_grids(self):
@@ -145,12 +142,10 @@ class TestConstruction:
     def test_keywords_match_positions(self):
         assert CycleInputs(freqs=FREQS, p_c=0.4, p_h=0.8, xi=0.25) == INPUTS
         assert Matrix2(a11=1.0, a12=0.0, a21=0.0, a22=1.0) == (1, 0, 0, 1)
-        assert XiPoint(tau=0.3, xi=0.1, error_estimate=0.0,
-                       converged=True).converged
+        assert not PropagatorResult(U, steps_used=16, xi_error_estimate=0.0,
+                                    xi=0.1, converged=False).converged
         assert PhaseMapRow(0.2, 0.1, 0.5, mode="engine",
                            on_zero_line=False).mode == "engine"
-        assert TauSweepRow(1.0, 0.1, 0.0, True,
-                           energetics=cycle_energetics(INPUTS)).tau == 1.0
         assert StrokeFriction(0.1, 0.2, 0.5, singular_reference=False).work == 0.1
         assert CycleEnergetics(*range(7), None, "engine").is_engine
 

@@ -8,7 +8,7 @@ from otto_tls import (CycleFrequencies, CycleInputs, DomainError,
                       IntegratorConfig, PhaseMapSpec, TauSweepSpec,
                       adiabatic_efficiency, cycle_energetics,
                       negative_friction_window, run_phase_map, run_tau_sweep,
-                      zero_friction_line)
+                      xi_sweep, zero_friction_line)
 from otto_tls.sweep import linear_spaced, log_spaced
 from otto_tls.thermo import MODE_ENGINE
 
@@ -52,44 +52,73 @@ class TestTauSweep:
     def test_negative_temperature_engine_everywhere(self):
         rows = sweep(0.4, 0.8)
         eta_ad = adiabatic_efficiency(FREQS)
-        for r in rows:
-            assert r.converged
-            assert r.energetics.mode == MODE_ENGINE
-            assert r.energetics.q_h > 0
-            assert r.energetics.w_net < 0
-            assert r.energetics.eta > eta_ad
+        for pt, en in rows:
+            assert pt.converged
+            assert en.mode == MODE_ENGINE
+            assert en.q_h > 0
+            assert en.w_net < 0
+            assert en.eta > eta_ad
         # Efficiency is largest at the smallest stroke duration.
-        assert rows[0].energetics.eta == max(r.energetics.eta for r in rows)
+        assert rows[0][1].eta == max(en.eta for _, en in rows)
 
     def test_zero_friction_line_population(self):
         rows = sweep(1.0 / 3.0, 0.8)
-        w_nets = [r.energetics.w_net for r in rows]
-        for r in rows:
-            assert abs(r.energetics.w_fric) < 1e-10
+        w_nets = [en.w_net for _, en in rows]
+        for _, en in rows:
+            assert abs(en.w_fric) < 1e-10
         assert max(w_nets) - min(w_nets) < 1e-9
 
     def test_positive_temperature_engine_threshold(self):
         rows = sweep(0.2, 0.4, points=25)
-        for r in rows:
-            if r.xi > 1e-12:
-                assert r.energetics.w_fric > 0
-        modes = [r.energetics.mode == MODE_ENGINE for r in rows]
+        for pt, en in rows:
+            if pt.xi > 1e-12:
+                assert en.w_fric > 0
+        modes = [en.mode == MODE_ENGINE for _, en in rows]
         assert not modes[0]          # fails at short strokes
         assert modes[-1]             # runs once xi is small enough
         eta_ad = adiabatic_efficiency(FREQS)
-        engine_rows = [r for r in rows if r.energetics.mode == MODE_ENGINE]
-        assert all(r.energetics.eta <= eta_ad + 1e-12 for r in engine_rows)
+        engine = [en for _, en in rows if en.mode == MODE_ENGINE]
+        assert all(en.eta <= eta_ad + 1e-12 for en in engine)
         # eta approaches the adiabatic value from below as tau grows
         # (xi ~ 3e-3 at tau = 1 ms still leaves a visible offset).
-        assert eta_ad - engine_rows[-1].energetics.eta < 0.01
+        assert eta_ad - engine[-1].eta < 0.01
 
     def test_rows_in_tau_order_and_deterministic(self):
-        a = sweep(0.4, 0.8, points=8)
-        b = sweep(0.4, 0.8, points=8)
-        taus = [r.tau for r in a]
-        assert taus == sorted(taus)
-        assert [(r.tau, r.xi, r.energetics.w_net) for r in a] == \
-               [(r.tau, r.xi, r.energetics.w_net) for r in b]
+        spec = TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 8),
+                            FAST_CFG)
+        a = run_tau_sweep(spec)
+        b = run_tau_sweep(spec)
+        assert [pt for pt, _ in a] == xi_sweep(spec.taus, FREQS, FAST_CFG)
+        assert [en for _, en in a] == [
+            cycle_energetics(CycleInputs(FREQS, 0.4, 0.8, pt.xi))
+            for pt, _ in a]
+        assert a == b
+
+    @pytest.mark.parametrize("p_c, p_h, same_order", [
+        (0.4, 0.8, True),    # (p_h - p_c)(p_h + p_c - 1) > 0
+        (0.3, 0.4, False),   # (p_h - p_c)(p_h + p_c - 1) < 0
+    ])
+    def test_eta_follows_xi_across_a_minimum_of_xi(self, p_c, p_h,
+                                                   same_order):
+        # On 300..400 us xi(tau) falls to a minimum near 340 us and rises
+        # again, so eta(tau) is not monotone; pointwise, the sign of
+        # d eta / d xi fixes eta's order to be xi's order or its reverse.
+        taus = linear_spaced(0.3, 0.4, 11)
+        rows = run_tau_sweep(TauSweepSpec(FREQS, p_c, p_h, taus))
+        xis = [pt.xi for pt, _ in rows]
+        etas = [en.eta for _, en in rows]
+        assert all(en.mode == MODE_ENGINE for _, en in rows)
+        k = xis.index(min(xis))
+        assert 0 < k < len(taus) - 1 and taus[k] == pytest.approx(0.34)
+        by_xi = sorted(range(len(taus)), key=xis.__getitem__)
+        by_eta = sorted(range(len(taus)), key=etas.__getitem__)
+        assert by_eta == (by_xi if same_order else by_xi[::-1])
+        # So eta's extreme sits at xi's minimum: a minimum of eta when eta
+        # rises with xi, a maximum when it falls.
+        extreme = min(etas) if same_order else max(etas)
+        assert etas.index(extreme) == k
+        assert extreme == pytest.approx(0.44708 if same_order else 0.42836,
+                                        abs=1e-5)
 
 
 class TestPhaseMap:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from otto_tls import (CycleFrequencies, CycleInputs, Density2, DomainError,
                       adiabatic_efficiency, cycle_energetics,
-                      efficiency_closed_form, efficiency_exceeds_adiabatic,
+                      efficiency_exceeds_adiabatic,
                       energetics_from_states, evolve_expansion,
                       exponent_from_population, friction_from_divergence,
                       gibbs_state, hot_population_window,
@@ -95,33 +95,39 @@ class TestClosedForms:
     @settings(max_examples=300, deadline=None)
     def test_efficiency_consistency(self, p_c, p_h, xi):
         en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-        if en.q_h != 0.0:
-            eta_ratio = -en.w_net / en.q_h
-            try:
-                eta_pop = efficiency_closed_form(
-                    CycleInputs(FREQS, p_c, p_h, xi))
-            except DomainError:
-                # The population-form denominator can underflow to exact
-                # zero while q_h survives as a subnormal; nothing to compare.
-                return
-            # w_net is a difference of O(1) stage works, so the comparison
-            # tolerance must track the digits lost to that cancellation.
-            scale = max(1.0, abs(eta_ratio),
-                        (abs(en.w_exp) + abs(en.w_comp)) / abs(en.q_h))
-            assert abs(eta_ratio - eta_pop) <= 1e-12 * scale
+        if not en.is_engine:
+            assert en.eta is None
+            return
+        eta_ratio = -en.w_net / en.q_h
+        # w_net is a difference of O(1) stage works, so the comparison
+        # tolerance must track the digits lost to that cancellation.
+        scale = max(1.0, abs(eta_ratio),
+                    (abs(en.w_exp) + abs(en.w_comp)) / en.q_h)
+        assert abs(en.eta - eta_ratio) <= 1e-12 * scale
 
     def test_efficiency_consistency_at_the_hot_heat_edge(self):
         # p_h one ulp below 1/2 with xi = 1/2 puts q_h a few ulps from zero;
-        # -w_net/q_h must still agree with the population form there.
+        # -w_net/q_h must still agree with the population form of eta,
+        # 1 - (nu_c/nu_h) [p_h - p_c + xi(1-2p_h)] / [p_h - p_c - xi(1-2p_c)].
         for p_c in (0.25, 0.75):
-            inputs = CycleInputs(FREQS, p_c, 0.49999999999999994, 0.5)
-            en = cycle_energetics(inputs)
-            den = (inputs.p_h - p_c) - 0.5 * (1.0 - 2.0 * p_c)
+            p_h = 0.49999999999999994
+            en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, 0.5))
+            num = (p_h - p_c) + 0.5 * (1.0 - 2.0 * p_h)
+            den = (p_h - p_c) - 0.5 * (1.0 - 2.0 * p_c)
             assert en.q_h == pytest.approx(FREQS.nu_h * den, rel=1e-15)
+            eta_pop = 1.0 - (FREQS.nu_c / FREQS.nu_h) * (num / den)
             eta_ratio = -en.w_net / en.q_h
             scale = (abs(en.w_exp) + abs(en.w_comp)) / abs(en.q_h)
-            assert abs(eta_ratio - efficiency_closed_form(inputs)) \
-                <= 1e-12 * scale
+            assert abs(eta_ratio - eta_pop) <= 1e-12 * scale
+
+    def test_efficiency_keeps_its_digits_at_subnormal_energies(self):
+        # Every stage energy here is a few subnormal ulps, so -w_net/q_h
+        # read 0.5; at xi = 0 eta must equal eta_ad = 1 - nu_c/nu_h.
+        en = cycle_energetics(CycleInputs(FREQS, 0.0, 5e-324, 0.0))
+        assert en.is_engine
+        assert -en.w_net / en.q_h == 0.5
+        assert en.eta == pytest.approx(adiabatic_efficiency(FREQS),
+                                       abs=1e-15)
 
     @given(st.floats(min_value=0.01, max_value=0.49),
            st.floats(min_value=0.01, max_value=0.49), xis)
@@ -427,9 +433,6 @@ class TestEfficiencyEnhancement:
             assume(en.is_engine)
             d = p_h - p_c - xi * (1.0 - 2.0 * p_c)
             assert d > 0.0
-            # Stage energies near the subnormal range keep too few digits
-            # for eta = -w_net/q_h to mean anything.
-            assume(d > 1e-300)
             scale = max(1.0, abs(en.eta),
                         (abs(en.w_exp) + abs(en.w_comp)) / en.q_h)
             gain = -2.0 * k * (1.0 - p_h - p_c) * (xi / d)
@@ -440,7 +443,8 @@ class TestEfficiencyEnhancement:
             points.append((xi, en.eta, d, scale))
         (xi_a, eta_a, d_a, s_a), (xi_b, eta_b, d_b, s_b) = points
         rule = (p_h - p_c) * (p_h + p_c - 1.0)
-        step = 2.0 * k * (rule / d_a) * ((xi_b - xi_a) / d_b)
+        # Divided last, so that rule = 0 gives 0 even where xi/d overflows.
+        step = 2.0 * k * rule * (xi_b - xi_a) / d_a / d_b
         tol = 1e-12 * (s_a + s_b)
         assert abs((eta_b - eta_a) - step) <= tol
         if abs(step) > tol:
