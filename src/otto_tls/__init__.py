@@ -5,43 +5,49 @@ temperature and a hot reservoir at positive or negative effective
 temperature: unitary stroke propagation, closed-form work/heat/friction
 energetics, the entropy-production route to friction work, and the
 parameter sweeps behind the friction map and efficiency curves.
+
+Importing the package loads none of its submodules: each public name is
+imported from its home module on first access (PEP 562), so a CLI call
+compiles only the modules its subcommand runs.
 """
 
 __version__ = "0.1.0"
 
-from .complex2 import Density2, Hermitian2, Matrix2, Unitary2, exp_neg_i_h
-from .errors import (ConstraintViolation, ConvergenceError, DomainError,
-                     OttoError)
-from .propagator import (IntegratorConfig, PropagatorResult, evolve_expansion,
-                         integrate_compression, propagate_fixed_steps,
-                         transition_probability, xi_sweep)
-from .sweep import (PhaseMapRow, PhaseMapSpec, TauSweepSpec, run_phase_map,
-                    run_tau_sweep, zero_friction_line)
-from .thermo import (CycleEnergetics, CycleInputs, StrokeFriction,
-                     adiabatic_efficiency, cycle_energetics,
-                     efficiency_exceeds_adiabatic,
-                     energetics_from_states, friction_from_divergence,
-                     hot_population_window, negative_friction_window,
-                     relative_entropy)
-from .tls import (CycleFrequencies, StrokeDuration, exponent_from_population,
-                  gibbs_population, gibbs_state, hamiltonian_compression,
-                  hamiltonian_expansion, projector_excited, ramp_frequency)
+# The home module of each public name; __all__ and the lookup both read it.
+_HOMES = {
+    "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h",
+    "errors": "OttoError ConstraintViolation DomainError ConvergenceError",
+    "tls": "CycleFrequencies StrokeDuration gibbs_population "
+           "exponent_from_population gibbs_state projector_excited "
+           "ramp_frequency hamiltonian_expansion hamiltonian_compression",
+    "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
+                  "integrate_compression propagate_fixed_steps "
+                  "transition_probability xi_sweep",
+    "thermo": "CycleInputs CycleEnergetics StrokeFriction cycle_energetics "
+              "energetics_from_states relative_entropy "
+              "friction_from_divergence negative_friction_window "
+              "hot_population_window efficiency_exceeds_adiabatic "
+              "adiabatic_efficiency",
+    "sweep": "TauSweepSpec PhaseMapSpec PhaseMapRow run_tau_sweep "
+             "run_phase_map zero_friction_line",
+}
+_HOME = {name: module for module, names in _HOMES.items()
+         for name in names.split()}
 
-__all__ = [
-    "Matrix2", "Hermitian2", "Unitary2", "Density2", "exp_neg_i_h",
-    "OttoError", "ConstraintViolation", "DomainError", "ConvergenceError",
-    "CycleFrequencies", "StrokeDuration",
-    "gibbs_population", "exponent_from_population", "gibbs_state",
-    "projector_excited", "ramp_frequency",
-    "hamiltonian_expansion", "hamiltonian_compression",
-    "IntegratorConfig", "PropagatorResult",
-    "evolve_expansion", "integrate_compression", "propagate_fixed_steps",
-    "transition_probability", "xi_sweep",
-    "CycleInputs", "CycleEnergetics", "StrokeFriction",
-    "cycle_energetics", "energetics_from_states", "relative_entropy",
-    "friction_from_divergence", "negative_friction_window",
-    "hot_population_window", "efficiency_exceeds_adiabatic",
-    "adiabatic_efficiency",
-    "TauSweepSpec", "PhaseMapSpec", "PhaseMapRow",
-    "run_tau_sweep", "run_phase_map", "zero_friction_line",
-]
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,13 @@ for identical inputs; a field holding a comma or a double quote is quoted
 as in RFC 4180.  Exit codes: 0 success; 1 a domain error, a verification
 or convergence failure, or stdout closed early (a broken pipe); 2 argument
 errors and an output file that cannot be written.
+
+Start-up: at module level this file imports only the standard library,
+`__version__` and `errors`.  Each `_cmd_*` function imports the package
+names it uses when it runs, so `--version`, `--help` and a usage error
+load no numeric module, and a subcommand compiles only the modules it
+runs.  A function-level import reads the home module's namespace at call
+time, so a name patched there is the one called.
 """
 
 from __future__ import annotations
@@ -26,18 +33,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .complex2 import Hermitian2, exp_neg_i_h
 from .errors import OttoError
-from .propagator import (IntegratorConfig, evolve_expansion,
-                         integrate_compression, transition_probability,
-                         xi_sweep)
-from .sweep import (PhaseMapSpec, TauSweepSpec, linear_spaced, run_phase_map,
-                    run_tau_sweep, tau_grid_us, zero_friction_line)
-from .thermo import (CycleInputs, adiabatic_efficiency, cycle_energetics,
-                     energetics_from_states, friction_from_divergence,
-                     hot_population_window, negative_friction_window)
-from .tls import (CycleFrequencies, StrokeDuration, exponent_from_population,
-                  gibbs_population)
 
 UNITS_COMMENT = "# energy unit: h*kHz; time unit: us"
 
@@ -122,6 +118,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _populations(args) -> tuple[float, float]:
+    from .tls import gibbs_population
+
     p_c = args.pc if args.pc is not None else gibbs_population(args.uc)
     p_h = args.ph if args.ph is not None else gibbs_population(args.uh)
     return p_c, p_h
@@ -187,16 +185,22 @@ def _tau_grid(args) -> tuple[list[float], list[float]]:
     Returned in us, as printed, and in ms, as integrated: the one
     conversion of the grid.
     """
+    from .sweep import tau_grid_us
+    from .tls import StrokeDuration
+
     taus_us = tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
     return taus_us, [StrokeDuration(t * 1e-3).tau for t in taus_us]
 
 
-def _xi_source(args, freqs: CycleFrequencies):
+def _xi_source(args, freqs):
     """xi from --xi, or from integrating a stroke of --tau us.
 
     --tau is checked here, so call this before -o opens; the returned
     function does the integration, so call that after.
     """
+    from .propagator import IntegratorConfig, evolve_expansion
+    from .tls import StrokeDuration
+
     if args.tau is None:
         return lambda: args.xi
     tau = StrokeDuration(args.tau * 1e-3).tau
@@ -205,6 +209,9 @@ def _xi_source(args, freqs: CycleFrequencies):
 
 
 def _cmd_xi(args) -> int:
+    from .propagator import IntegratorConfig, xi_sweep
+    from .tls import CycleFrequencies
+
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     taus_us, taus = _tau_grid(args)
     cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
@@ -217,6 +224,9 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
+    from .thermo import CycleInputs, adiabatic_efficiency, cycle_energetics
+    from .tls import CycleFrequencies
+
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
     xi = args.xi
@@ -240,6 +250,10 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_tau_sweep(args) -> int:
+    from .propagator import IntegratorConfig
+    from .sweep import TauSweepSpec, run_tau_sweep
+    from .tls import CycleFrequencies
+
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
     taus_us, taus = _tau_grid(args)
@@ -256,6 +270,10 @@ def _cmd_tau_sweep(args) -> int:
 
 
 def _cmd_phase_map(args) -> int:
+    from .sweep import (PhaseMapSpec, linear_spaced, run_phase_map,
+                        zero_friction_line)
+    from .tls import CycleFrequencies
+
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     # The grids (and --xi) are checked with a placeholder xi for --tau.
     spec = PhaseMapSpec(
@@ -277,6 +295,9 @@ def _cmd_phase_map(args) -> int:
 
 
 def _cmd_windows(args) -> int:
+    from .thermo import hot_population_window, negative_friction_window
+    from .tls import CycleFrequencies
+
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     if args.ph is None and args.pc is None:
         raise ValueError("windows: provide --ph and/or --pc")  # exits 2
@@ -296,21 +317,15 @@ def _cmd_windows(args) -> int:
     return 0
 
 
-def _random_unitary(rng):
-    # rng is a random.Random, which only verify imports.  Rejection-sampled
-    # so xi stays in the protocol's physical range [0, 1/2].
-    while True:
-        a = rng.uniform(-2.0, 2.0)
-        d = rng.uniform(-2.0, 2.0)
-        b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        u = exp_neg_i_h(Hermitian2(a, b, b.conjugate(), d),
-                        rng.uniform(0.0, 2.0))
-        if transition_probability(u) <= 0.5:
-            return u
-
-
 def _cmd_verify(args) -> int:
     import random  # only verify draws random inputs
+
+    from .complex2 import Hermitian2, exp_neg_i_h
+    from .propagator import (evolve_expansion, integrate_compression,
+                             transition_probability)
+    from .thermo import (CycleInputs, cycle_energetics, energetics_from_states,
+                         friction_from_divergence, negative_friction_window)
+    from .tls import CycleFrequencies, exponent_from_population
 
     freqs = CycleFrequencies(2.0, 3.6)
     rng = random.Random(20240817)
@@ -322,12 +337,24 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
+    def random_unitary():
+        # Rejection-sampled so xi stays in the protocol's physical range
+        # [0, 1/2].
+        while True:
+            a = rng.uniform(-2.0, 2.0)
+            d = rng.uniform(-2.0, 2.0)
+            b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            u = exp_neg_i_h(Hermitian2(a, b, b.conjugate(), d),
+                            rng.uniform(0.0, 2.0))
+            if transition_probability(u) <= 0.5:
+                return u
+
     # Closed-form identities over random inputs.
     ok_close = ok_decomp = ok_oracle = True
     for _ in range(300):
         p_c = rng.uniform(0.01, 0.99)
         p_h = rng.uniform(0.01, 0.99)
-        u = _random_unitary(rng)
+        u = random_unitary()
         xi = transition_probability(u)
         en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
         ok_close &= abs(en.w_exp + en.w_comp + en.q_c + en.q_h) <= 1e-12
@@ -344,7 +371,7 @@ def _cmd_verify(args) -> int:
     ok_div = True
     for p, stroke, nu_fin in [(0.4, "expansion", 3.6), (0.8, "compression", 2.0),
                               (0.25, "expansion", 3.6)]:
-        u = _random_unitary(rng)
+        u = random_unitary()
         xi = transition_probability(u)
         res = friction_from_divergence(p, exponent_from_population(p),
                                        u, stroke, freqs)

@@ -401,7 +401,10 @@ class TestErrorsAndVerify:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{compute} ran before -o was opened")
 
-        monkeypatch.setattr(f"otto_tls.cli.{compute}", refuse)
+        # cli imports each function from its home module when the command
+        # runs, so the patch goes there.
+        home = getattr(otto_tls, compute).__module__
+        monkeypatch.setattr(f"{home}.{compute}", refuse)
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(*argv, "-o", str(path))
         assert code == 2
@@ -460,15 +463,27 @@ class TestErrorsAndVerify:
 
 def test_startup_imports_stay_lean():
     # -S skips site, whose .pth files may import typing or random
-    # themselves and hide a regression here.
+    # themselves and hide a regression here.  A bare import loads no
+    # submodule; --version, --help and a usage error load none of the
+    # numeric modules.
     modules = ("dataclasses", "inspect", "typing", "random",
-               "concurrent.futures")
-    code = ("import sys, otto_tls.cli; "
-            f"print(','.join(m for m in {modules!r} if m in sys.modules))")
+               "concurrent.futures", "otto_tls.complex2", "otto_tls.tls",
+               "otto_tls.propagator", "otto_tls.thermo", "otto_tls.sweep")
+    code = f"""
+import contextlib, io, sys
+import otto_tls
+print([m for m in sys.modules if m.startswith("otto_tls.")])
+from otto_tls.cli import main
+for argv in (["--version"], ["--help"], ["tau-sweep"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, [m for m in {modules!r} if m in sys.modules])
+"""
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    assert proc.stdout.splitlines() == ["[]", "0 []", "0 []", "2 []"]
 
 
 def test_annotations_resolve():
