@@ -18,8 +18,7 @@ _HOMES = {
     "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h",
     "errors": "OttoError ConstraintViolation DomainError ConvergenceError",
     "tls": "CycleFrequencies StrokeDuration gibbs_population "
-           "exponent_from_population gibbs_state projector_excited "
-           "ramp_frequency hamiltonian_expansion hamiltonian_compression",
+           "exponent_from_population gibbs_state projector_excited",
     "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
                   "integrate_compression propagate_fixed_steps "
                   "transition_probability xi_sweep",

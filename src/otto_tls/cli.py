@@ -179,17 +179,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tau_grid(args) -> tuple[list[float], list[float]]:
+def _strokes(args, freqs, taus_us) -> tuple:
+    """Stroke durations in ms from taus_us, and the --xi-tol config.
+
+    Each duration is checked by cfg.resolve_steps, which refuses one that
+    is not positive and finite or is too long to integrate, so call this
+    before -o opens.
+    """
+    from .propagator import IntegratorConfig
+
+    cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
+    taus = [t * 1e-3 for t in taus_us]
+    for tau in taus:
+        cfg.resolve_steps(tau, freqs)
+    return taus, cfg
+
+
+def _tau_grid(args, freqs) -> tuple:
     """Stroke durations from --tau-min, --tau-max, --points, --linear.
 
-    Returned in us, as printed, and in ms, as integrated: the one
-    conversion of the grid.
+    Returned in us, as printed, and in ms, as integrated (the one
+    conversion of the grid), with the IntegratorConfig of --xi-tol.
     """
     from .sweep import tau_grid_us
-    from .tls import StrokeDuration
 
     taus_us = tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
-    return taus_us, [StrokeDuration(t * 1e-3).tau for t in taus_us]
+    return (taus_us, *_strokes(args, freqs, taus_us))
 
 
 def _xi_source(args, freqs):
@@ -198,29 +213,36 @@ def _xi_source(args, freqs):
     --tau is checked here, so call this before -o opens; the returned
     function does the integration, so call that after.
     """
-    from .propagator import IntegratorConfig, evolve_expansion
-    from .tls import StrokeDuration
+    from .propagator import evolve_expansion
 
     if args.tau is None:
         return lambda: args.xi
-    tau = StrokeDuration(args.tau * 1e-3).tau
-    cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
+    (tau,), cfg = _strokes(args, freqs, [args.tau])
     return lambda: evolve_expansion(tau, freqs, cfg).xi
 
 
+def _exit_code(points) -> int:
+    """0 if every point converged, else 1 after one stderr line."""
+    failed = sum(not pt.converged for pt in points)
+    if not failed:
+        return 0
+    print(f"otto-tls: {failed} of {len(points)} points did not converge "
+          f"(converged = 0)", file=sys.stderr)
+    return 1
+
+
 def _cmd_xi(args) -> int:
-    from .propagator import IntegratorConfig, xi_sweep
+    from .propagator import xi_sweep
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
-    taus_us, taus = _tau_grid(args)
-    cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
+    taus_us, taus, cfg = _tau_grid(args, freqs)
     with _output(args.output) as fh:
         points = xi_sweep(taus, freqs, cfg)
         _emit(fh, ["tau_us", "xi", "xi_error", "converged"],
               [(t, pt.xi, pt.xi_error_estimate, pt.converged)
                for t, pt in zip(taus_us, points)])
-    return 0 if all(pt.converged for pt in points) else 1
+    return _exit_code(points)
 
 
 def _cmd_cycle(args) -> int:
@@ -250,15 +272,13 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_tau_sweep(args) -> int:
-    from .propagator import IntegratorConfig
     from .sweep import TauSweepSpec, run_tau_sweep
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
-    taus_us, taus = _tau_grid(args)
-    spec = TauSweepSpec(freqs, p_c, p_h, taus,
-                        IntegratorConfig(xi_tolerance=args.xi_tol))
+    taus_us, taus, cfg = _tau_grid(args, freqs)
+    spec = TauSweepSpec(freqs, p_c, p_h, taus, cfg)
     with _output(args.output) as fh:
         rows = run_tau_sweep(spec)
         _emit(fh, ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c",
@@ -266,7 +286,7 @@ def _cmd_tau_sweep(args) -> int:
               [(t, pt.xi, en.w_net, en.w_ad, en.w_fric, en.q_h, en.q_c,
                 en.eta, en.mode, pt.converged)
                for t, (pt, en) in zip(taus_us, rows)])
-    return 0 if all(pt.converged for pt, _ in rows) else 1
+    return _exit_code([pt for pt, _ in rows])
 
 
 def _cmd_phase_map(args) -> int:

@@ -14,7 +14,7 @@ class DomainError(OttoError, ValueError):
 
 
 class ConvergenceError(OttoError):
-    """Step doubling exhausted its budget; carries the best estimate."""
+    """xi did not settle within MAX_STEPS steps; carries the best estimate."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -9,12 +9,11 @@ exactly, and W driven by r(t)*sx - sz/(8*tau), r = nu(t)/2.  That
 generator is linear in time, so the sixth-order Magnus expansion (Blanes,
 Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) sums in closed su(2) form
 to one rotation vector per step, and each step is a single exact 2x2
-exponential.  Every intermediate U is therefore unitary to rounding, and
-the constant sz part keeps every rotation angle above 0 below about 4e161
-steps (see _propagate_magnus6).  The step count is doubled until the
-adiabaticity parameter xi - the only scalar consumed downstream - is
-self-consistent to the configured tolerance.  Each integration returns one
-PropagatorResult, and xi_sweep returns one per stroke.
+exponential.  Every intermediate U is therefore unitary to rounding.  The
+step count is doubled until the adiabaticity parameter xi - the only scalar
+consumed downstream - is self-consistent to the configured tolerance, and
+no stroke integrates more than MAX_STEPS final steps.  Each integration
+returns one PropagatorResult, and xi_sweep returns one per stroke.
 
 propagate_fixed_steps keeps the second-order exponential-midpoint rule as
 a simple fixed-step reference.
@@ -36,29 +35,42 @@ from .errors import ConvergenceError, DomainError
 from .tls import KET_MINUS_X, KET_PLUS_Y, CycleFrequencies, StrokeDuration
 
 XI_MAX_SLACK = 1e-9
+# The most final steps of one stroke; with the discarded coarser passes a
+# stroke computes fewer than 2 * MAX_STEPS steps.
+MAX_STEPS = 2**22
 
 
-class IntegratorConfig(namedtuple("IntegratorConfig",
-                                  "xi_tolerance max_doublings")):
+class IntegratorConfig(namedtuple("IntegratorConfig", "xi_tolerance")):
     """Step-doubling control for the stroke integrator.
 
     Doubling starts at max(8, ceil(8 * nu_h * tau)) steps (resolve_steps),
     a start sized for the sixth-order Magnus step: 8 steps per Larmor
     period 1/nu_h, and never fewer than 8.  It stops once |xi_2n - xi_n|
-    is below xi_tolerance, or fails after max_doublings.
+    is below xi_tolerance, or fails when the next doubling would exceed
+    MAX_STEPS.
     """
 
     __slots__ = ()
 
-    def __new__(cls, xi_tolerance: float = 1e-9, max_doublings: int = 20):
+    def __new__(cls, xi_tolerance: float = 1e-9):
         if not (0.0 < xi_tolerance < 1e-2):
             raise DomainError("xi_tolerance must lie in (0, 1e-2)")
-        if max_doublings < 1:
-            raise DomainError("max_doublings must be positive")
-        return tuple.__new__(cls, (xi_tolerance, max_doublings))
+        return tuple.__new__(cls, (xi_tolerance,))
 
     def resolve_steps(self, tau: float, freqs: CycleFrequencies) -> int:
-        return max(8, math.ceil(8.0 * freqs.nu_h * tau))
+        """Start count of a stroke of tau ms; the one check that refuses it.
+
+        Raises DomainError for a tau that is not positive and finite, or
+        whose start leaves no room for one doubling within MAX_STEPS.
+        """
+        StrokeDuration(tau)  # validates tau
+        start = 8.0 * freqs.nu_h * tau  # compared before ceil: it may be inf
+        if start > MAX_STEPS // 2:
+            raise DomainError(
+                f"tau={tau} ms is too long to integrate: it starts at "
+                f"{start:.4g} steps, and one doubling must stay within "
+                f"{MAX_STEPS} steps")
+        return max(8, math.ceil(start))
 
 
 class PropagatorResult(namedtuple("PropagatorResult",
@@ -148,18 +160,14 @@ def _propagate_magnus6(tau: float, freqs: CycleFrequencies, steps: int,
         w = a - (a x b)/6 - b x (a x b)/60 + a x (a x (a x b))/90
           = (X_k, -Z*delta*(1/6 + (X_k^2 + Z^2)/90), Z*(1 - delta^2/60)),
 
-    and the step is exp(-i*w.sigma): one sqrt, sin and cos.  In exact
-    arithmetic w_z is never 0 (resolve_steps keeps delta below pi/64), and
-    in floats w_z^2 stays above 0 up to about 4e161 steps, so the rotation
-    angle is positive there: a subnormal tau gives W = Rz(pi/2)^dagger and
-    U = I without a guard.  Past that count w_z^2 underflows, and with a
-    small enough w_x the angle is 0 and sin(rho)/rho divides by zero.  Such
-    a run could never finish anyway; bounding it is a step budget's job,
-    not this kernel's.  The scalar phase is
-    the exact integral Phi(tau) = 2*tau*(nu_c + nu_h).  The compression
-    stroke is the same W problem mirrored in time with the generator's sign
-    flipped, which turns w into -w step by step, and transforms back as
-    U = exp(+i*Phi) * W * Rz(pi/2)^dagger.
+    and the step is exp(-i*w.sigma): one sqrt, sin and cos.  w_z is never
+    0 (resolve_steps keeps delta below pi/64), and within MAX_STEPS steps
+    w_z^2 is far above underflow, so the rotation angle is positive and a
+    subnormal tau gives W = Rz(pi/2)^dagger and U = I without a guard.
+    The scalar phase is the exact integral Phi(tau) = 2*tau*(nu_c + nu_h).
+    The compression stroke is the same W problem mirrored in time with the
+    generator's sign flipped, which turns w into -w step by step, and
+    transforms back as U = exp(+i*Phi) * W * Rz(pi/2)^dagger.
     """
     n = steps
     s = 2.0 * math.pi * tau / n
@@ -234,10 +242,9 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
 
     Starts at cfg.resolve_steps and doubles until |xi_2n - xi_n| is below
     cfg.xi_tolerance; xi_2n and that difference are returned.  Raises
-    ConvergenceError carrying the last estimate after cfg.max_doublings.
+    ConvergenceError carrying the last estimate when the next doubling
+    would exceed MAX_STEPS.
     """
-    StrokeDuration(tau)  # validates tau
-
     def xi_of(raw):
         if compression:
             # xi for the compression propagator V is |<+x|V|-y>|^2, the
@@ -250,7 +257,7 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
     n = cfg.resolve_steps(tau, freqs)
     raw = _propagate_magnus6(tau, freqs, n, compression)
     xi_prev = xi_of(raw)
-    for _ in range(cfg.max_doublings):
+    while 2 * n <= MAX_STEPS:
         n *= 2
         raw = _propagate_magnus6(tau, freqs, n, compression)
         xi = xi_of(raw)
@@ -260,8 +267,8 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         xi_prev = xi
     best = PropagatorResult(Unitary2(*raw), n, err, xi, converged=False)
     raise ConvergenceError(
-        f"xi not converged to {cfg.xi_tolerance} after "
-        f"{cfg.max_doublings} doublings (tau={tau} ms)", best=best)
+        f"xi not converged to {cfg.xi_tolerance} within {MAX_STEPS} steps "
+        f"(tau={tau} ms)", best=best)
 
 
 def evolve_expansion(tau: float, freqs: CycleFrequencies,
@@ -301,8 +308,9 @@ def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,
     """evolve_expansion for each stroke duration (ms), in input order.
 
     The one tau loop: the xi subcommand and run_tau_sweep both call it.  A
-    point whose doubling runs out is the ConvergenceError's best estimate,
-    with converged=False; it does not abort the sweep.
+    point that does not converge within MAX_STEPS is the ConvergenceError's
+    best estimate, with converged=False; it does not abort the sweep.  A
+    tau that resolve_steps refuses raises DomainError.
     """
     out = []
     for tau in tau_values:

@@ -25,8 +25,9 @@ from collections.abc import Sequence
 
 from .errors import DomainError
 from .propagator import IntegratorConfig, PropagatorResult, xi_sweep
-from .thermo import CycleEnergetics, CycleInputs, cycle_energetics
-from .tls import CycleFrequencies, StrokeDuration
+from .thermo import (CycleEnergetics, CycleInputs, _zero_friction_pc,
+                     cycle_energetics)
+from .tls import CycleFrequencies
 
 
 def _check_finite_bounds(lo: float, hi: float) -> None:
@@ -81,8 +82,9 @@ class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus cfg")):
     """Cycle sweep over the stroke durations taus (ms).
 
     The grid is kept as a tuple, in its given order; build it with
-    log_spaced or linear_spaced.  Every duration must be positive and
-    finite.
+    log_spaced or linear_spaced.  Every duration is checked by
+    cfg.resolve_steps: it must be positive, finite, and short enough to
+    integrate within propagator.MAX_STEPS.
     """
 
     __slots__ = ()
@@ -93,7 +95,7 @@ class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus cfg")):
         CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
         taus = tuple(taus)
         for tau in taus:
-            StrokeDuration(tau)  # validates tau
+            cfg.resolve_steps(tau, freqs)  # validates tau
         return tuple.__new__(cls, (freqs, p_c, p_h, taus, cfg))
 
 
@@ -102,8 +104,9 @@ def run_tau_sweep(
     """xi_sweep over spec.taus, then the cycle energetics of each point.
 
     Returns (PropagatorResult, CycleEnergetics) pairs in grid order.  A
-    point whose doubling runs out has converged=False and keeps the best
-    available xi; it never aborts the sweep.
+    point that does not converge within propagator.MAX_STEPS has
+    converged=False and keeps the best available xi; it never aborts the
+    sweep.
     """
     return [(pt, cycle_energetics(CycleInputs(spec.freqs, spec.p_c,
                                               spec.p_h, pt.xi)))
@@ -143,8 +146,7 @@ class PhaseMapRow(namedtuple("PhaseMapRow",
 def zero_friction_line(ph_values: Sequence[float],
                        freqs: CycleFrequencies) -> list[tuple[float, float]]:
     """Analytic zero-friction curve p_c(p_h) = (1/2)(1 + (1-2p_h) nu_c/nu_h)."""
-    ratio = freqs.nu_c / freqs.nu_h
-    return [(ph, 0.5 * (1.0 + (1.0 - 2.0 * ph) * ratio)) for ph in ph_values]
+    return [(ph, _zero_friction_pc(ph, freqs)) for ph in ph_values]
 
 
 def run_phase_map(spec: PhaseMapSpec,

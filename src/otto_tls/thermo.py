@@ -295,6 +295,11 @@ def friction_from_divergence(p_init: float, exponent_scale: float,
     return StrokeFriction(inv_beta_eff * div, div, inv_beta_eff, False)
 
 
+def _zero_friction_pc(p_h: float, freqs: CycleFrequencies) -> float:
+    """Cold population p_c* = (1/2)(1 + (1 - 2 p_h) nu_c/nu_h) of W_fric = 0."""
+    return 0.5 * (1.0 + (1.0 - 2.0 * p_h) * (freqs.nu_c / freqs.nu_h))
+
+
 def negative_friction_window(
         p_h: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
     """Cold-population interval giving negative friction work, or None.
@@ -304,7 +309,7 @@ def negative_friction_window(
     """
     if not (0.0 <= p_h <= 1.0):
         raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
-    lower = 0.5 * (1.0 + (1.0 - 2.0 * p_h) * freqs.nu_c / freqs.nu_h)
+    lower = _zero_friction_pc(p_h, freqs)
     if lower >= 0.5:
         return None
     return (lower, 0.5)

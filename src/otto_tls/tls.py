@@ -1,4 +1,4 @@
-"""Two-level-system model: stroke Hamiltonians, ramp, and Gibbs states.
+"""Two-level-system model: cycle parameters, projectors and Gibbs states.
 
 Energies are expressed in units of h*kHz throughout (Planck's constant never
 appears numerically); times are in ms, frequencies in kHz.  The excited
@@ -93,47 +93,6 @@ def projector_excited(axis: str) -> Hermitian2:
     if axis == "y":
         return _PROJECTOR_Y
     raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def _check_stroke_time(t: float, tau: float) -> None:
-    if not (tau > 0.0):
-        raise DomainError(f"tau must be positive, got {tau}")
-    if not (0.0 <= t <= tau):
-        raise DomainError(f"t={t} outside stroke interval [0, {tau}]")
-
-
-def ramp_frequency(t: float, tau: float, freqs: CycleFrequencies) -> float:
-    """Linear frequency ramp nu(t) = (1 - t/tau)*nu_c + (t/tau)*nu_h, in kHz."""
-    _check_stroke_time(t, tau)
-    x = t / tau
-    return (1.0 - x) * freqs.nu_c + x * freqs.nu_h
-
-
-def hamiltonian_expansion(t: float, tau: float,
-                          freqs: CycleFrequencies) -> Hermitian2:
-    """Expansion-stroke Hamiltonian divided by h, in kHz.
-
-    H(t)/h = nu(t) [cos(pi t / 2 tau) P_x + sin(pi t / 2 tau) P_y], so the
-    endpoints are exactly nu_c*P_x and nu_h*P_y.
-    """
-    _check_stroke_time(t, tau)
-    nu = ramp_frequency(t, tau, freqs)
-    th = 0.5 * math.pi * (t / tau)
-    c, s = math.cos(th), math.sin(th)
-    return Hermitian2(
-        0.5 * nu * (c + s),
-        0.5 * nu * complex(c, -s),
-        0.5 * nu * complex(c, s),
-        0.5 * nu * (c + s),
-    )
-
-
-def hamiltonian_compression(t: float, tau: float,
-                            freqs: CycleFrequencies) -> Hermitian2:
-    """Compression-stroke Hamiltonian: -H_expansion(tau - t)."""
-    _check_stroke_time(t, tau)
-    h = hamiltonian_expansion(tau - t, tau, freqs)
-    return Hermitian2(-h.a11, -h.a12, -h.a21, -h.a22)
 
 
 def gibbs_state(p: float, axis: str) -> Density2:

@@ -8,10 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 import typing
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otto_tls
 from otto_tls import (CycleFrequencies, PhaseMapSpec, evolve_expansion,
@@ -427,6 +430,15 @@ class TestErrorsAndVerify:
         ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "1.5"),
         ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
          "--ph", "0.8", "--tau-max", "inf"),
+        # Strokes too long to integrate within MAX_STEPS.
+        ("xi", "--nu-c", "2", "--nu-h", "3.6", "--tau-max", "1e308",
+         "--points", "2"),
+        ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.3", "--ph", "0.8",
+         "--tau", "1e9"),
+        ("cycle", "--nu-c", "1e-300", "--nu-h", "1e300", "--pc", "0.3",
+         "--ph", "0.8", "--tau", "1"),
+        ("cycle", "--nu-c", "1", "--nu-h", "1e305", "--pc", "0.3",
+         "--ph", "0.8", "--tau", "1e10"),
     ])
     def test_invalid_input_leaves_output_untouched(self, tmp_path, argv):
         path = tmp_path / "kept.csv"
@@ -437,6 +449,40 @@ class TestErrorsAndVerify:
         assert len(err.splitlines()) == 1
         assert err.startswith("otto-tls: ")
         assert path.read_text() == "earlier output\n"
+
+    def test_convergence_failure_after_output_opens(self, tmp_path,
+                                                    monkeypatch):
+        # Known gap: cycle --tau integrates after -o has opened its file,
+        # so a stroke that does not converge leaves that file empty.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 18)
+        path = tmp_path / "truncated.csv"
+        path.write_text("earlier output\n")
+        code, out, err = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--pc", "0.4", "--ph", "0.8", "--tau", "300",
+                                 "-o", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("otto-tls: xi not converged to 1e-09 within "
+                              "18 steps")
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize("command", [
+        ("xi", "--nu-c", "2", "--nu-h", "3.6"),
+        ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+         "--ph", "0.8"),
+    ])
+    def test_unconverged_points_named_on_stderr(self, monkeypatch, command):
+        # 300 us starts at 9 steps; a bound of 18 allows one doubling,
+        # which does not settle xi to 1e-9.  10 us converges at 16 steps.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 18)
+        code, out, err = run_cli(*command, "--tau-min", "10",
+                                 "--tau-max", "300", "--points", "2")
+        assert code == 1
+        _, rows = parse_csv(out)
+        assert [r["converged"] for r in rows] == ["1", "0"]
+        assert err.splitlines() == [
+            "otto-tls: 1 of 2 points did not converge (converged = 0)"]
 
     def test_closed_pipe_exits_1_without_traceback(self):
         # About 150 kB of CSV, more than a pipe buffers, so the child is
@@ -459,6 +505,73 @@ class TestErrorsAndVerify:
         code, out, _ = run_cli("verify")
         assert code == 0
         assert "FAIL" not in out
+
+
+# Option values: boundary, huge, infinite and NaN spellings, and floats,
+# some of them in [0, 1] where populations and xi are valid.
+VALUES = st.one_of(
+    st.sampled_from(["0", "-0", "5e-324", "1e-300", "1e-9", "1e-3", "0.5",
+                     "1", "-1", "2", "3.6", "300", "1e4", "1e9", "1e308",
+                     "-1e308", "inf", "-inf", "nan"]),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+    st.floats().map(repr))
+# Frequency pairs: the reference pair, any valid pair, or any two values.
+FREQ_PAIRS = st.one_of(
+    st.just(("2", "3.6")),
+    st.lists(st.floats(min_value=5e-324, max_value=1.7e308), min_size=2,
+             max_size=2, unique=True).map(lambda p: sorted(map(repr, p),
+                                                           key=float)),
+    st.tuples(VALUES, VALUES))
+# Grid sizes stay small: a huge count exhausts memory before any check.
+COUNTS = st.integers(min_value=2, max_value=20).map(str)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with drawn values for its numeric options.
+
+    --threads is never drawn: each value starts that many threads.
+    """
+    def opts(*names):
+        return [f"{name}={draw(VALUES)}" for name in names
+                if draw(st.booleans())]
+
+    def one_of(*names):
+        return [f"{draw(st.sampled_from(names))}={draw(VALUES)}"]
+
+    command = draw(st.sampled_from(
+        ["xi", "cycle", "tau-sweep", "phase-map", "windows"]))
+    nu_c, nu_h = draw(FREQ_PAIRS)
+    argv = [command, f"--nu-c={nu_c}", f"--nu-h={nu_h}"]
+    if command in ("cycle", "tau-sweep"):
+        argv += one_of("--pc", "--uc") + one_of("--ph", "--uh")
+    if command in ("xi", "tau-sweep"):
+        argv += opts("--tau-min", "--tau-max") + ["--points", draw(COUNTS)]
+    if command == "cycle":
+        argv += one_of("--xi", "--tau")
+    if command == "phase-map":
+        argv += opts("--xi", "--tau")[:1]
+        argv += ["--ph-points", draw(COUNTS), "--pc-points", draw(COUNTS)]
+    if command == "windows":
+        argv += opts("--ph", "--pc")
+    else:
+        argv += opts("--xi-tol")
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_any_input_ends_in_a_result_or_one_line(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("otto_tls.propagator.MAX_STEPS", 1024)
+        start = time.perf_counter()
+        code, _, err = run_cli(*argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("otto-tls: ")
+    assert elapsed < 2.0
 
 
 def test_startup_imports_stay_lean():

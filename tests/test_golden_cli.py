@@ -84,6 +84,16 @@ CASES = [
     ("error-tau-sweep-infinite-bound",
      ("tau-sweep", *FREQS, "--pc", "0.4", "--ph", "0.8", "--tau-max", "inf"),
      False, False),
+    ("error-xi-tau-too-long",
+     ("xi", *FREQS, "--tau-max", "1e308", "--points", "2"), False, False),
+    ("error-cycle-tau-too-long",
+     (*CYCLE, "--pc", "0.3", "--ph", "0.8", "--tau", "1e9"), False, False),
+    ("error-cycle-start-steps-huge",
+     ("cycle", "--nu-c", "1e-300", "--nu-h", "1e300", "--pc", "0.3",
+      "--ph", "0.8", "--tau", "1"), False, False),
+    ("error-cycle-start-steps-infinite",
+     ("cycle", "--nu-c", "1", "--nu-h", "1e305", "--pc", "0.3", "--ph", "0.8",
+      "--tau", "1e10"), False, False),
 ]
 
 

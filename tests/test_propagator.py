@@ -161,9 +161,11 @@ class TestConvergence:
                                     IntegratorConfig(xi_tolerance=loose_tol)).xi
         assert abs(xi_loose - xi_tight) < loose_tol
 
-    def test_non_convergence_carries_best(self):
-        # 29 -> 58 steps change xi by about 5e-10, above the tolerance.
-        cfg = IntegratorConfig(xi_tolerance=1e-12, max_doublings=1)
+    def test_non_convergence_carries_best(self, monkeypatch):
+        # 29 -> 58 steps change xi by about 5e-10, above the tolerance, and
+        # a bound of 58 steps leaves room for that one doubling only.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 58)
+        cfg = IntegratorConfig(xi_tolerance=1e-12)
         with pytest.raises(ConvergenceError) as exc:
             evolve_expansion(1.0, FREQS, cfg)
         best = exc.value.best
@@ -202,6 +204,34 @@ class TestConvergence:
         cfg = IntegratorConfig()
         assert cfg.resolve_steps(0.001, FREQS) == 8
         assert cfg.resolve_steps(1.0, FREQS) == 29
+
+
+class TestStepBound:
+    def test_start_must_leave_room_for_one_doubling(self, monkeypatch):
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 1024)
+        freqs = CycleFrequencies(1.0, 4.0)  # 8 * nu_h * tau = 32 * tau, exact
+        cfg = IntegratorConfig()
+        assert cfg.resolve_steps(16.0, freqs) == 512
+        # At 1e308 the start overflows to inf, which math.ceil cannot take.
+        for tau in (math.nextafter(16.0, math.inf), 1e308):
+            with pytest.raises(DomainError, match="too long to integrate"):
+                cfg.resolve_steps(tau, freqs)
+
+    def test_work_per_stroke_is_bounded(self, monkeypatch):
+        import otto_tls.propagator as prop
+
+        kernel, steps = prop._propagate_magnus6, []
+
+        def counted(tau, freqs, n, compression):
+            steps.append(n)
+            return kernel(tau, freqs, n, compression)
+
+        monkeypatch.setattr(prop, "MAX_STEPS", 1024)
+        monkeypatch.setattr(prop, "_propagate_magnus6", counted)
+        with pytest.raises(ConvergenceError, match="within 1024 steps") as exc:
+            evolve_expansion(0.5, FREQS, IntegratorConfig(xi_tolerance=1e-300))
+        assert max(steps) == exc.value.best.steps_used <= 1024
+        assert sum(steps) < 2 * 1024
 
 
 def magnus6_xi(tau: float, steps: int, compression: bool = False) -> float:
@@ -285,8 +315,9 @@ class TestSweep:
                                      for t in taus]
         assert a == b
 
-    def test_failed_points_flagged_not_fatal(self):
-        cfg = IntegratorConfig(xi_tolerance=1e-12, max_doublings=1)
+    def test_failed_points_flagged_not_fatal(self, monkeypatch):
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 58)
+        cfg = IntegratorConfig(xi_tolerance=1e-12)
         pts = xi_sweep([1e-6, 1.0], FREQS, cfg)
         assert len(pts) == 2
         assert pts[0].converged  # trivial stroke converges immediately

@@ -1,4 +1,4 @@
-"""Two-level-system physics: projectors, ramp, Hamiltonians, Gibbs states."""
+"""Two-level-system physics: cycle parameters, projectors, Gibbs states."""
 
 import math
 
@@ -9,18 +9,12 @@ from hypothesis import strategies as st
 
 from otto_tls import (CycleFrequencies, DomainError, StrokeDuration,
                       exponent_from_population, gibbs_population, gibbs_state,
-                      hamiltonian_compression, hamiltonian_expansion,
-                      projector_excited, ramp_frequency)
+                      projector_excited)
 
 from conftest import to_numpy
 
 populations = st.floats(min_value=1e-6, max_value=1.0 - 1e-6,
                         allow_nan=False)
-
-
-@pytest.fixture
-def freqs():
-    return CycleFrequencies(2.0, 3.6)
 
 
 class TestFrequencies:
@@ -59,76 +53,6 @@ class TestProjectors:
     def test_bad_axis(self):
         with pytest.raises(DomainError):
             projector_excited("z")
-
-
-class TestRamp:
-    def test_endpoints(self, freqs):
-        assert ramp_frequency(0.0, 0.5, freqs) == 2.0
-        assert ramp_frequency(0.5, 0.5, freqs) == 3.6
-
-    def test_midpoint(self, freqs):
-        assert ramp_frequency(0.25, 0.5, freqs) == pytest.approx(2.8, abs=1e-15)
-
-    def test_domain(self, freqs):
-        with pytest.raises(DomainError):
-            ramp_frequency(-0.1, 0.5, freqs)
-        with pytest.raises(DomainError):
-            ramp_frequency(0.6, 0.5, freqs)
-
-
-class TestStrokeHamiltonians:
-    def test_expansion_endpoints_exact(self, freqs):
-        tau = 0.3
-        h0 = to_numpy(hamiltonian_expansion(0.0, tau, freqs))
-        hc = 2.0 * to_numpy(projector_excited("x"))
-        assert np.max(np.abs(h0 - hc)) <= 1e-15
-        h1 = to_numpy(hamiltonian_expansion(tau, tau, freqs))
-        hh = 3.6 * to_numpy(projector_excited("y"))
-        assert np.max(np.abs(h1 - hh)) <= 1e-15
-
-    def test_midpoint_value_and_spectrum(self, freqs):
-        tau = 0.4
-        h = hamiltonian_expansion(tau / 2, tau, freqs)
-        s2 = math.sqrt(2.0) / 2.0
-        expect = 2.8 * s2 * (to_numpy(projector_excited("x"))
-                             + to_numpy(projector_excited("y")))
-        assert np.max(np.abs(to_numpy(h) - expect)) < 1e-12
-        # Closed-form 2x2 eigenvalues of a I + (b, b*) off-diagonals.
-        a = 2.8 * s2
-        r = math.hypot(0.0, abs(h.a12))
-        lo, hi = np.linalg.eigvalsh(to_numpy(h))
-        assert lo == pytest.approx(a - r, abs=1e-12)
-        assert hi == pytest.approx(a + r, abs=1e-12)
-
-    def test_compression_mirror_identity(self, freqs):
-        tau = 0.25
-        for t in [0.0, 0.05, 0.125, 0.2, tau]:
-            hc = to_numpy(hamiltonian_compression(t, tau, freqs))
-            he = to_numpy(hamiltonian_expansion(tau - t, tau, freqs))
-            assert np.max(np.abs(hc + he)) == 0.0
-
-    def test_compression_endpoints(self, freqs):
-        tau = 0.25
-        hh = 3.6 * to_numpy(projector_excited("y"))
-        hc = 2.0 * to_numpy(projector_excited("x"))
-        h0 = to_numpy(hamiltonian_compression(0.0, tau, freqs))
-        h1 = to_numpy(hamiltonian_compression(tau, tau, freqs))
-        assert np.max(np.abs(h0 + hh)) <= 1e-15
-        assert np.max(np.abs(h1 + hc)) <= 1e-15
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=100, deadline=None)
-    def test_trace_and_positivity(self, x):
-        freqs = CycleFrequencies(2.0, 3.6)
-        tau = 0.3
-        t = x * tau
-        h = hamiltonian_expansion(t, tau, freqs)
-        nu = ramp_frequency(t, tau, freqs)
-        th = 0.5 * math.pi * x
-        expected_trace = nu * (math.cos(th) + math.sin(th))
-        assert abs((h.a11 + h.a22).real - expected_trace) < 1e-12
-        lo, _ = np.linalg.eigvalsh(to_numpy(h))
-        assert lo >= -1e-12  # positive semidefinite along the whole stroke
 
 
 class TestGibbs:
