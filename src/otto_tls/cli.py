@@ -16,6 +16,13 @@ as in RFC 4180.  Exit codes: 0 success; 1 a domain error, a verification
 or convergence failure, or stdout closed early (a broken pipe); 2 argument
 errors and an output file that cannot be written.
 
+Each `_cmd_*` function computes its whole result and returns it as
+(status, lines); `main` then writes the lines once, to stdout or to
+--output.  So a failure, in validation or in the computation, leaves an
+existing output file untouched, and an unwritable path is reported after
+the work.  A status is the exit code, or the one-line report of points
+that did not converge, printed after the write and exiting 1.
+
 Start-up: at module level this file imports only the standard library,
 `__version__` and `errors`.  Each `_cmd_*` function imports the package
 names it uses when it runs, so `--version`, `--help` and a usage error
@@ -27,7 +34,6 @@ time, so a name patched there is the one called.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from collections.abc import Sequence
@@ -51,21 +57,22 @@ def _fmt(x) -> str:
     return s
 
 
-def _emit(stream, header: Sequence[str], rows) -> None:
-    stream.write(UNITS_COMMENT + "\n")
-    stream.write(",".join(header) + "\n")
+def _csv(header: Sequence[str], rows):
+    """Lines of a CSV table: the units comment, the header, then each row."""
+    yield UNITS_COMMENT + "\n"
+    yield ",".join(header) + "\n"
     for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        yield ",".join(_fmt(v) for v in row) + "\n"
 
 
-@contextlib.contextmanager
-def _output(path: str | None):
+def _write(path: str | None, lines) -> None:
+    """Write lines to stdout (path None or '-') or to the file at path."""
     if path is None or path == "-":
-        yield sys.stdout
+        sys.stdout.writelines(lines)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+            fh.writelines(lines)
     except OSError as exc:
         # An unwritable --output is an argument error: main exits 2.
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
@@ -183,8 +190,8 @@ def _strokes(args, freqs, taus_us) -> tuple:
     """Stroke durations in ms from taus_us, and the --xi-tol config.
 
     Each duration is checked by cfg.resolve_steps, which refuses one that
-    is not positive and finite or is too long to integrate, so call this
-    before -o opens.
+    is not positive and finite or is too long to integrate, so a grid
+    with such a stroke is refused before any point is integrated.
     """
     from .propagator import IntegratorConfig
 
@@ -207,122 +214,100 @@ def _tau_grid(args, freqs) -> tuple:
     return (taus_us, *_strokes(args, freqs, taus_us))
 
 
-def _xi_source(args, freqs):
-    """xi from --xi, or from integrating a stroke of --tau us.
-
-    --tau is checked here, so call this before -o opens; the returned
-    function does the integration, so call that after.
-    """
+def _xi(args, freqs) -> float:
+    """xi from --xi, or from integrating a stroke of --tau us."""
     from .propagator import evolve_expansion
 
     if args.tau is None:
-        return lambda: args.xi
+        return args.xi
     (tau,), cfg = _strokes(args, freqs, [args.tau])
-    return lambda: evolve_expansion(tau, freqs, cfg).xi
+    return evolve_expansion(tau, freqs, cfg).xi
 
 
-def _exit_code(points) -> int:
-    """0 if every point converged, else 1 after one stderr line."""
+def _unconverged(points) -> int | str:
+    """0 if every point converged, else the report of those that did not."""
     failed = sum(not pt.converged for pt in points)
     if not failed:
         return 0
-    print(f"otto-tls: {failed} of {len(points)} points did not converge "
-          f"(converged = 0)", file=sys.stderr)
-    return 1
+    return f"{failed} of {len(points)} points did not converge (converged = 0)"
 
 
-def _cmd_xi(args) -> int:
+def _cmd_xi(args) -> tuple:
     from .propagator import xi_sweep
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     taus_us, taus, cfg = _tau_grid(args, freqs)
-    with _output(args.output) as fh:
-        points = xi_sweep(taus, freqs, cfg)
-        _emit(fh, ["tau_us", "xi", "xi_error", "converged"],
-              [(t, pt.xi, pt.xi_error_estimate, pt.converged)
-               for t, pt in zip(taus_us, points)])
-    return _exit_code(points)
+    points = xi_sweep(taus, freqs, cfg)
+    return _unconverged(points), _csv(
+        ["tau_us", "xi", "xi_error", "converged"],
+        [(t, pt.xi, pt.xi_error_estimate, pt.converged)
+         for t, pt in zip(taus_us, points)])
 
 
-def _cmd_cycle(args) -> int:
+def _cmd_cycle(args) -> tuple:
     from .thermo import CycleInputs, adiabatic_efficiency, cycle_energetics
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
-    xi = args.xi
-    CycleInputs(freqs, p_c, p_h, 0.0 if xi is None else xi)  # validates
-    xi_of = _xi_source(args, freqs)
-    with _output(args.output) as fh:
-        xi = xi_of()
-        en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
-        fh.write(UNITS_COMMENT + "\n")
-        for name, value in [("nu_c", freqs.nu_c), ("nu_h", freqs.nu_h),
-                            ("p_c", p_c), ("p_h", p_h), ("xi", xi),
-                            ("w_exp", en.w_exp), ("w_comp", en.w_comp),
-                            ("q_c", en.q_c), ("q_h", en.q_h),
-                            ("w_net", en.w_net), ("w_ad", en.w_ad),
-                            ("w_fric", en.w_fric),
-                            ("eta_ad", adiabatic_efficiency(freqs))]:
-            fh.write(f"{name} = {_fmt(value)}\n")
-        fh.write(f"eta = {_fmt(en.eta) if en.eta is not None else 'undefined'}\n")
-        fh.write(f"mode = {en.mode}\n")
-    return 0
+    xi = _xi(args, freqs)
+    en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
+    lines = [UNITS_COMMENT + "\n"]
+    lines += [f"{name} = {_fmt(value)}\n" for name, value in [
+        ("nu_c", freqs.nu_c), ("nu_h", freqs.nu_h), ("p_c", p_c),
+        ("p_h", p_h), ("xi", xi), ("w_exp", en.w_exp), ("w_comp", en.w_comp),
+        ("q_c", en.q_c), ("q_h", en.q_h), ("w_net", en.w_net),
+        ("w_ad", en.w_ad), ("w_fric", en.w_fric),
+        ("eta_ad", adiabatic_efficiency(freqs))]]
+    lines.append(f"eta = {_fmt(en.eta) if en.eta is not None else 'undefined'}\n")
+    lines.append(f"mode = {en.mode}\n")
+    return 0, lines
 
 
-def _cmd_tau_sweep(args) -> int:
+def _cmd_tau_sweep(args) -> tuple:
     from .sweep import TauSweepSpec, run_tau_sweep
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
     taus_us, taus, cfg = _tau_grid(args, freqs)
-    spec = TauSweepSpec(freqs, p_c, p_h, taus, cfg)
-    with _output(args.output) as fh:
-        rows = run_tau_sweep(spec)
-        _emit(fh, ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c",
-                   "eta", "mode", "converged"],
-              [(t, pt.xi, en.w_net, en.w_ad, en.w_fric, en.q_h, en.q_c,
-                en.eta, en.mode, pt.converged)
-               for t, (pt, en) in zip(taus_us, rows)])
-    return _exit_code([pt for pt, _ in rows])
+    rows = run_tau_sweep(TauSweepSpec(freqs, p_c, p_h, taus, cfg))
+    return _unconverged([pt for pt, _ in rows]), _csv(
+        ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c", "eta",
+         "mode", "converged"],
+        [(t, pt.xi, en.w_net, en.w_ad, en.w_fric, en.q_h, en.q_c, en.eta,
+          en.mode, pt.converged)
+         for t, (pt, en) in zip(taus_us, rows)])
 
 
-def _cmd_phase_map(args) -> int:
+def _cmd_phase_map(args) -> tuple:
     from .sweep import (PhaseMapSpec, linear_spaced, run_phase_map,
                         zero_friction_line)
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
-    # The grids (and --xi) are checked with a placeholder xi for --tau.
     spec = PhaseMapSpec(
         freqs,
         ph_values=linear_spaced(args.ph_min, args.ph_max, args.ph_points),
         pc_values=linear_spaced(args.pc_min, args.pc_max, args.pc_points),
-        xi=args.xi if args.tau is None else 0.0)
-    xi_of = _xi_source(args, freqs)
-    with _output(args.output) as fh:
-        spec = PhaseMapSpec(freqs, spec.ph_values, spec.pc_values, xi_of())
-        rows = run_phase_map(spec, threads=args.threads)
-        line = zero_friction_line(spec.ph_values, freqs)
-        out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
-               for r in rows]
-        out += [("zero_line", ph, pc, 0.0, "", "") for ph, pc in line]
-        _emit(fh, ["series", "p_h", "p_c", "w_fric", "mode", "on_zero_line"],
-              out)
-    return 0
+        xi=_xi(args, freqs))
+    rows = run_phase_map(spec, threads=args.threads)
+    line = zero_friction_line(spec.ph_values, freqs)
+    out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
+           for r in rows]
+    out += [("zero_line", ph, pc, 0.0, "", "") for ph, pc in line]
+    return 0, _csv(["series", "p_h", "p_c", "w_fric", "mode", "on_zero_line"],
+                   out)
 
 
-def _cmd_windows(args) -> int:
+def _cmd_windows(args) -> tuple:
     from .thermo import hot_population_window, negative_friction_window
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     if args.ph is None and args.pc is None:
         raise ValueError("windows: provide --ph and/or --pc")  # exits 2
-    # The windows are closed forms that also validate --ph and --pc, so they
-    # are evaluated before -o is opened.
     rows = []
     if args.ph is not None:
         w = negative_friction_window(args.ph, freqs)
@@ -332,12 +317,10 @@ def _cmd_windows(args) -> int:
         w = hot_population_window(args.pc, freqs)
         rows.append(("p_h", args.pc,
                      w[0] if w else "", w[1] if w else "", w is None))
-    with _output(args.output) as fh:
-        _emit(fh, ["window_for", "given", "lower", "upper", "empty"], rows)
-    return 0
+    return 0, _csv(["window_for", "given", "lower", "upper", "empty"], rows)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     import random  # only verify draws random inputs
 
     from .complex2 import Hermitian2, exp_neg_i_h
@@ -349,13 +332,10 @@ def _cmd_verify(args) -> int:
 
     freqs = CycleFrequencies(2.0, 3.6)
     rng = random.Random(20240817)
-    failures = 0
+    lines = []
 
     def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}\n")
 
     def random_unitary():
         # Rejection-sampled so xi stays in the protocol's physical range
@@ -419,9 +399,10 @@ def _cmd_verify(args) -> int:
     check("adiabatic efficiency 1 - nu_c/nu_h",
           en.eta is not None and abs(en.eta - (1.0 - 2.0 / 3.6)) <= 1e-12)
 
-    print(f"{'OK' if failures == 0 else 'FAILED'}: "
-          f"{failures} failure(s)")
-    return 0 if failures == 0 else 1
+    failures = sum(line.startswith("FAIL") for line in lines)
+    lines.append(f"{'OK' if failures == 0 else 'FAILED'}: "
+                 f"{failures} failure(s)\n")
+    return (0 if failures == 0 else 1), lines
 
 
 _COMMANDS = {
@@ -441,9 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _COMMANDS[args.command](args)
+        status, lines = _COMMANDS[args.command](args)
+        _write(getattr(args, "output", None), lines)  # verify has no -o
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
-        return code
     except BrokenPipeError:
         # The reader closed stdout early.  Recipe from the Python docs (the
         # signal module's note on SIGPIPE): point stdout at devnull, so that
@@ -457,6 +438,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"otto-tls: {exc}", file=sys.stderr)
         return 2
+    if isinstance(status, str):  # unconverged points, reported after the write
+        print(f"otto-tls: {status}", file=sys.stderr)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

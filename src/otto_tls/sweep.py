@@ -37,14 +37,16 @@ def _check_finite_bounds(lo: float, hi: float) -> None:
 
 
 def log_spaced(lo: float, hi: float, points: int) -> list[float]:
-    """Strictly increasing log-spaced grid including both endpoints."""
+    """Strictly increasing log-spaced grid from exactly lo to exactly hi."""
     _check_finite_bounds(lo, hi)
     if not (0.0 < lo < hi):
         raise DomainError(f"need 0 < lo < hi, got {lo}, {hi}")
     if points < 2:
         raise DomainError("points must be at least 2")
     la, lb = math.log(lo), math.log(hi)
-    return [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
+    grid = [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
+    grid[0], grid[-1] = lo, hi  # exp(log(x)) can miss x by ulps
+    return grid
 
 
 def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
@@ -53,7 +55,9 @@ def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
     if points < 2:
         raise DomainError("points must be at least 2")
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    grid[-1] = hi  # lo + (hi - lo) can round above hi
+    return grid
 
 
 def tau_grid_us(tau_min: float, tau_max: float, points: int,

@@ -270,18 +270,15 @@ def friction_from_divergence(p_init: float, exponent_scale: float,
     if stroke == "expansion":
         axis_init, axis_final = "x", "y"
         nu_final = freqs.nu_h
+        rotation = u  # rho_final = U rho U^dag
     elif stroke == "compression":
         axis_init, axis_final = "y", "x"
         nu_final = freqs.nu_c
+        rotation = u.adjoint()  # rho_final = U^dag rho U
     else:
         raise DomainError(f"stroke must be 'expansion' or 'compression', got {stroke!r}")
 
-    rho_init = gibbs_state(p_init, axis_init)
-    if stroke == "expansion":
-        rho_final = u @ rho_init @ u.adjoint()
-    else:
-        rho_final = u.adjoint() @ rho_init @ u
-    rho_final = Density2(*rho_final.entries())
+    rho_final = Density2(*_rotated(rotation, gibbs_state(p_init, axis_init)))
     reference = gibbs_state(p_init, axis_final)
     div = relative_entropy(rho_final, reference)
 

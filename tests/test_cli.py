@@ -260,6 +260,14 @@ class TestPhaseMap:
         assert code == 0, err
         _, rows = parse_csv(out)
         assert rows[0]["p_c"] == "0" and rows[0]["p_h"] == "0"
+        # ... and ends at its upper bounds, which lo + (hi - lo) can round
+        # above.
+        for bounds in (("--pc-min", "0.04", "--pc-max", "0.5",
+                        "--pc-points", "6"),
+                       ("--ph-min", "0.1", "--ph-points", "14")):
+            code, out, err = run_cli("phase-map", "--nu-c", "2",
+                                     "--nu-h", "3.6", *bounds)
+            assert (code, err) == (0, "")
 
     def test_tau_gives_the_map_at_the_integrated_xi(self):
         code, out, _ = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
@@ -387,29 +395,15 @@ class TestErrorsAndVerify:
         assert err.splitlines() == [
             f"otto-tls: cannot write {path}: No such file or directory"]
 
-    @pytest.mark.parametrize("compute, argv", [
-        ("run_phase_map", ("phase-map", "--nu-c", "2", "--nu-h", "3.6",
-                           "--ph-points", "300", "--pc-points", "300")),
-        ("run_tau_sweep", ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6",
-                           "--pc", "0.4", "--ph", "0.8")),
-        ("xi_sweep", ("xi", "--nu-c", "2", "--nu-h", "3.6")),
-        ("evolve_expansion", ("cycle", "--nu-c", "2", "--nu-h", "3.6",
-                              "--pc", "0.4", "--ph", "0.8", "--tau", "300")),
-        ("evolve_expansion", ("phase-map", "--nu-c", "2", "--nu-h", "3.6",
-                              "--tau", "300")),
-    ])
-    def test_unwritable_output_reported_before_compute(self, tmp_path,
-                                                        monkeypatch, compute,
-                                                        argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"{compute} ran before -o was opened")
-
-        # cli imports each function from its home module when the command
-        # runs, so the patch goes there.
-        home = getattr(otto_tls, compute).__module__
-        monkeypatch.setattr(f"{home}.{compute}", refuse)
+    def test_unwritable_output_after_unconverged_points(self, tmp_path,
+                                                        monkeypatch):
+        # The unconverged point is reported only after a successful write,
+        # so an unwritable -o still gives one line and exit 2.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 18)
         path = tmp_path / "missing" / "x.csv"
-        code, out, err = run_cli(*argv, "-o", str(path))
+        code, out, err = run_cli("xi", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--tau-min", "10", "--tau-max", "300",
+                                 "--points", "2", "-o", str(path))
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
@@ -450,22 +444,25 @@ class TestErrorsAndVerify:
         assert err.startswith("otto-tls: ")
         assert path.read_text() == "earlier output\n"
 
-    def test_convergence_failure_after_output_opens(self, tmp_path,
-                                                    monkeypatch):
-        # Known gap: cycle --tau integrates after -o has opened its file,
-        # so a stroke that does not converge leaves that file empty.
+    @pytest.mark.parametrize("argv", [
+        ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
+         "--tau", "300"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--tau", "300"),
+    ])
+    def test_convergence_failure_leaves_output_untouched(self, tmp_path,
+                                                         monkeypatch, argv):
+        # 300 us starts at 9 steps; a bound of 18 allows one doubling,
+        # which does not settle xi to 1e-9.
         monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 18)
-        path = tmp_path / "truncated.csv"
+        path = tmp_path / "kept.csv"
         path.write_text("earlier output\n")
-        code, out, err = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
-                                 "--pc", "0.4", "--ph", "0.8", "--tau", "300",
-                                 "-o", str(path))
+        code, out, err = run_cli(*argv, "-o", str(path))
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("otto-tls: xi not converged to 1e-09 within "
                               "18 steps")
-        assert path.read_text() == ""
+        assert path.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("command", [
         ("xi", "--nu-c", "2", "--nu-h", "3.6"),

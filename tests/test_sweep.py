@@ -24,12 +24,15 @@ def sweep(p_c, p_h, points=15):
 
 class TestGrids:
     def test_log_spacing_endpoints(self):
-        g = log_spaced(10.0, 1000.0, 5)
-        assert g[0] == pytest.approx(10.0) and g[-1] == pytest.approx(1000.0)
+        g = log_spaced(10.0, 1000.0, 100)
+        assert (g[0], g[-1]) == (10.0, 1000.0)  # not exp(log(x)), off by ulps
         assert all(b > a for a, b in zip(g, g[1:]))
 
     def test_linear_spacing(self):
         assert linear_spaced(0.0, 1.0, 3) == [0.0, 0.5, 1.0]
+        # lo + (hi - lo) rounds above hi for these bounds.
+        assert linear_spaced(0.04, 0.5, 6)[-1] == 0.5
+        assert linear_spaced(0.1, 1.0, 14)[-1] == 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
