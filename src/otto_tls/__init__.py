@@ -3,8 +3,9 @@
 Simulates the four-stroke cycle between a cold reservoir at positive
 temperature and a hot reservoir at positive or negative effective
 temperature: unitary stroke propagation, closed-form work/heat/friction
-energetics, the entropy-production route to friction work, and the
-parameter sweeps behind the friction map and efficiency curves.
+energetics and entropy production, the parameter sweeps behind the
+friction map and efficiency curves, and the state-based oracles that
+check them.
 
 Importing the package loads none of its submodules: each public name is
 imported from its home module on first access (PEP 562), so a CLI call
@@ -22,13 +23,12 @@ _HOMES = {
     "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
                   "integrate_compression propagate_fixed_steps "
                   "transition_probability xi_sweep",
-    "thermo": "CycleInputs CycleEnergetics StrokeFriction cycle_energetics "
-              "energetics_from_states relative_entropy "
-              "friction_from_divergence negative_friction_window "
-              "hot_population_window efficiency_exceeds_adiabatic "
-              "adiabatic_efficiency",
+    "thermo": "CycleInputs CycleEnergetics cycle_energetics "
+              "entropy_production negative_friction_window "
+              "hot_population_window adiabatic_efficiency",
     "sweep": "TauSweepSpec PhaseMapSpec PhaseMapRow run_tau_sweep "
              "run_phase_map zero_friction_line",
+    "verify": "energetics_from_states relative_entropy",
 }
 _HOME = {name: module for module, names in _HOMES.items()
          for name in names.split()}

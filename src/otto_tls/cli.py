@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line front end: it parses, calls the package, and writes.
 
 Subcommands:
   xi         transition probability versus stroke duration
@@ -6,7 +6,7 @@ Subcommands:
   tau-sweep  full cycle energetics versus stroke duration
   phase-map  friction work over the (p_h, p_c) population grid
   windows    negative-friction population intervals
-  verify     built-in self-check suite (exit 0 on pass)
+  verify     the self-check suite of otto_tls.verify (exit 0 on pass)
 
 Times are accepted and printed in microseconds, energies in h*kHz; the
 library below works in ms, and each command converts its times once.  CSV
@@ -216,10 +216,10 @@ def _tau_grid(args, freqs) -> tuple:
 
 def _xi(args, freqs) -> float:
     """xi from --xi, or from integrating a stroke of --tau us."""
-    from .propagator import evolve_expansion
-
     if args.tau is None:
         return args.xi
+    from .propagator import evolve_expansion
+
     (tau,), cfg = _strokes(args, freqs, [args.tau])
     return evolve_expansion(tau, freqs, cfg).xi
 
@@ -321,88 +321,9 @@ def _cmd_windows(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
-    import random  # only verify draws random inputs
+    from .verify import run_suite
 
-    from .complex2 import Hermitian2, exp_neg_i_h
-    from .propagator import (evolve_expansion, integrate_compression,
-                             transition_probability)
-    from .thermo import (CycleInputs, cycle_energetics, energetics_from_states,
-                         friction_from_divergence, negative_friction_window)
-    from .tls import CycleFrequencies, exponent_from_population
-
-    freqs = CycleFrequencies(2.0, 3.6)
-    rng = random.Random(20240817)
-    lines = []
-
-    def check(name: str, ok: bool) -> None:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}\n")
-
-    def random_unitary():
-        # Rejection-sampled so xi stays in the protocol's physical range
-        # [0, 1/2].
-        while True:
-            a = rng.uniform(-2.0, 2.0)
-            d = rng.uniform(-2.0, 2.0)
-            b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            u = exp_neg_i_h(Hermitian2(a, b, b.conjugate(), d),
-                            rng.uniform(0.0, 2.0))
-            if transition_probability(u) <= 0.5:
-                return u
-
-    # Closed-form identities over random inputs.
-    ok_close = ok_decomp = ok_oracle = True
-    for _ in range(300):
-        p_c = rng.uniform(0.01, 0.99)
-        p_h = rng.uniform(0.01, 0.99)
-        u = random_unitary()
-        xi = transition_probability(u)
-        en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
-        ok_close &= abs(en.w_exp + en.w_comp + en.q_c + en.q_h) <= 1e-12
-        ok_decomp &= abs(en.w_net - (en.w_ad + en.w_fric)) <= 1e-12
-        en2 = energetics_from_states(p_c, p_h, u, freqs)
-        ok_oracle &= all(abs(a - b) <= 1e-10 for a, b in [
-            (en.w_exp, en2.w_exp), (en.w_comp, en2.w_comp),
-            (en.q_c, en2.q_c), (en.q_h, en2.q_h)])
-    check("first-law closure", ok_close)
-    check("net work decomposition", ok_decomp)
-    check("trace-based oracle equivalence", ok_oracle)
-
-    # Divergence route reproduces the friction terms, inversion included.
-    ok_div = True
-    for p, stroke, nu_fin in [(0.4, "expansion", 3.6), (0.8, "compression", 2.0),
-                              (0.25, "expansion", 3.6)]:
-        u = random_unitary()
-        xi = transition_probability(u)
-        res = friction_from_divergence(p, exponent_from_population(p),
-                                       u, stroke, freqs)
-        ok_div &= abs(res.work - nu_fin * xi * (1.0 - 2.0 * p)) <= 1e-10
-        ok_div &= res.divergence >= -1e-12
-    check("entropy-production route", ok_div)
-
-    w = negative_friction_window(0.8, freqs)
-    check("negative-friction window lower bound 1/3",
-          w is not None and abs(w[0] - 1.0 / 3.0) <= 1e-12)
-
-    ok_adj = True
-    for tau in [0.02, 0.1, 0.3, 0.6, 1.0]:
-        ue = evolve_expansion(tau, freqs).U
-        uc = integrate_compression(tau, freqs).U
-        ok_adj &= (uc - ue.adjoint()).max_abs() <= 1e-9
-    check("compression propagator = adjoint of expansion", ok_adj)
-
-    xi_fast = evolve_expansion(1e-4, freqs).xi
-    xi_slow = evolve_expansion(2.0, freqs).xi
-    check("xi limits (sudden 1/2, adiabatic 0)",
-          0.499 <= xi_fast <= 0.5 and xi_slow < 0.01)
-
-    en = cycle_energetics(CycleInputs(freqs, 0.4, 0.8, 0.0))
-    check("adiabatic efficiency 1 - nu_c/nu_h",
-          en.eta is not None and abs(en.eta - (1.0 - 2.0 / 3.6)) <= 1e-12)
-
-    failures = sum(line.startswith("FAIL") for line in lines)
-    lines.append(f"{'OK' if failures == 0 else 'FAILED'}: "
-                 f"{failures} failure(s)\n")
-    return (0 if failures == 0 else 1), lines
+    return run_suite()
 
 
 _COMMANDS = {

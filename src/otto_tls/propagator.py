@@ -47,14 +47,16 @@ class IntegratorConfig(namedtuple("IntegratorConfig", "xi_tolerance")):
     a start sized for the sixth-order Magnus step: 8 steps per Larmor
     period 1/nu_h, and never fewer than 8.  It stops once |xi_2n - xi_n|
     is below xi_tolerance, or fails when the next doubling would exceed
-    MAX_STEPS.
+    MAX_STEPS.  xi_tolerance lies in [1e-14, 1e-2): rounding can keep
+    |xi_2n - xi_n| above a smaller tolerance for good.
     """
 
     __slots__ = ()
 
     def __new__(cls, xi_tolerance: float = 1e-9):
-        if not (0.0 < xi_tolerance < 1e-2):
-            raise DomainError("xi_tolerance must lie in (0, 1e-2)")
+        if not (1e-14 <= xi_tolerance < 1e-2):
+            raise DomainError(
+                f"xi_tolerance must lie in [1e-14, 1e-2), got {xi_tolerance}")
         return tuple.__new__(cls, (xi_tolerance,))
 
     def resolve_steps(self, tau: float, freqs: CycleFrequencies) -> int:

@@ -1,0 +1,219 @@
+"""The checking path: state-based oracles and the `verify` self-check suite.
+
+thermo computes every energy and the entropy production in closed form.
+The oracles here reach them a second, independent way, from the density
+matrices of the cycle: energetics_from_states as traces, stroke_divergence
+as the relative entropy of a rotated Gibbs state.  run_suite checks the
+closed forms against them and the integrator against its limits; only
+`otto-tls verify`, the tests and the benchmark load this module.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from .complex2 import Density2, Hermitian2, Unitary2, exp_neg_i_h
+from .propagator import (evolve_expansion, integrate_compression,
+                         transition_probability)
+from .thermo import (MODE_ENGINE, CycleEnergetics, CycleInputs, _classify,
+                     cycle_energetics, entropy_production,
+                     negative_friction_window)
+from .tls import (CycleFrequencies, exponent_from_population, gibbs_state,
+                  projector_excited)
+
+_SUPPORT_EIG_TOL = 1e-14
+_SUPPORT_WEIGHT_TOL = 1e-12
+
+
+def _trace_product(a, b) -> float:
+    """Re tr(a b), on the row-major entries of two 2x2 matrices."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22).real
+
+
+def _rotated(a, rho) -> tuple[complex, complex, complex, complex]:
+    """Row-major entries of a rho a^dag for 2x2 matrices given as entries."""
+    a11, a12, a21, a22 = a
+    r11, r12, r21, r22 = rho
+    # b = a rho, then (b a^dag)_ij = sum_k b_ik conj(a_jk).
+    b11, b12 = a11 * r11 + a12 * r21, a11 * r12 + a12 * r22
+    b21, b22 = a21 * r11 + a22 * r21, a21 * r12 + a22 * r22
+    c11, c12, c21, c22 = (a11.conjugate(), a12.conjugate(),
+                          a21.conjugate(), a22.conjugate())
+    return (b11 * c11 + b12 * c12, b11 * c21 + b12 * c22,
+            b21 * c11 + b22 * c12, b21 * c21 + b22 * c22)
+
+
+def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
+                           freqs: CycleFrequencies) -> CycleEnergetics:
+    """Stage energies from density-matrix traces (Alicki definitions).
+
+    Takes rho_1 thermal at the cold endpoint, rho_3 thermal at the hot
+    endpoint, rho_2 = U rho_1 U^dag and rho_4 = U^dag rho_3 U, and every
+    energy as a trace difference of e_k = tr(H rho_k), each trace written
+    on the entries of U, the Gibbs state and the endpoint projector.
+    Serves as the independent oracle for cycle_energetics with xi read off
+    the same unitary.
+    """
+    p_x = projector_excited("x")
+    p_y = projector_excited("y")
+    rho1 = gibbs_state(p_c, "x")
+    rho3 = gibbs_state(p_h, "y")
+    u11, u12, u21, u22 = u
+    u_dag = (u11.conjugate(), u21.conjugate(), u12.conjugate(),
+             u22.conjugate())
+
+    # e_k = tr(H rho_k), the energy at cycle stage k, with H = nu * P.
+    e1 = freqs.nu_c * _trace_product(p_x, rho1)
+    e2 = freqs.nu_h * _trace_product(p_y, _rotated(u, rho1))
+    e3 = freqs.nu_h * _trace_product(p_y, rho3)
+    e4 = freqs.nu_c * _trace_product(p_x, _rotated(u_dag, rho3))
+    w_exp = e2 - e1
+    w_comp = e4 - e3
+    q_c = e1 - e4
+    q_h = e3 - e2
+    w_net = w_exp + w_comp
+    w_ad = -(freqs.nu_h - freqs.nu_c) * (p_h - p_c)
+    w_fric = w_net - w_ad
+
+    mode = _classify(w_net, q_h)
+    eta = -w_net / q_h if mode == MODE_ENGINE else None
+    return CycleEnergetics(w_exp, w_comp, q_c, q_h, w_net, w_ad, w_fric,
+                           eta, mode)
+
+
+def _bloch(m: Density2) -> tuple[float, float, float]:
+    """Bloch vector r of m = (I + r.sigma)/2, read off the entries."""
+    a11, a12, _, a22 = m
+    return 2.0 * a12.real, -2.0 * a12.imag, (a11 - a22).real
+
+
+def relative_entropy(rho: Density2, sigma: Density2) -> float:
+    """Quantum relative entropy D(rho||sigma) in nats, in closed Bloch form.
+
+    With rho = (I + r.sigma)/2 and sigma = (I + s.sigma)/2,
+
+        D = sum_l l ln l - (1/2) ln((1 - |s|^2)/4) - (r.s/|s|) artanh|s|,
+
+    where l = (1 +- |r|)/2 are the eigenvalues of rho, 0 ln 0 = 0, and the
+    last term is 0 at s = 0.  It is evaluated as
+    sum_l l ln l - sum_m w_m ln m over the eigenvalues m = (1 +- |s|)/2 of
+    sigma, where w = (1 +- r.s/|s|)/2 is rho's weight on the matching
+    eigenvector.  A pure sigma (smaller eigenvalue at most _SUPPORT_EIG_TOL)
+    gives +inf when rho's weight on its kernel exceeds _SUPPORT_WEIGHT_TOL,
+    and otherwise the kernel term is dropped.
+    """
+    rx, ry, rz = _bloch(rho)
+    sx, sy, sz = _bloch(sigma)
+    r = math.hypot(rx, ry, rz)
+    s = math.hypot(sx, sy, sz)
+    rs_hat = (rx * sx + ry * sy + rz * sz) / s if s > 0.0 else 0.0
+
+    d = 0.0
+    for lam in (0.5 * (1.0 + r), 0.5 * (1.0 - r)):
+        if lam > 0.0:
+            d += lam * math.log(lam)
+    w_lo = 0.5 * (1.0 - rs_hat)
+    mu_lo = 0.5 * (1.0 - s)
+    d -= (1.0 - w_lo) * math.log(0.5 * (1.0 + s))
+    if mu_lo <= _SUPPORT_EIG_TOL:
+        return math.inf if w_lo > _SUPPORT_WEIGHT_TOL else d
+    return d - w_lo * math.log(mu_lo)
+
+
+def stroke_divergence(p: float, u: Unitary2,
+                      compression: bool = False) -> float:
+    """D(rho_final || rho_quasistatic) of one stroke in nats, by matrices.
+
+    The Gibbs state of population p at the stroke's initial endpoint,
+    rotated to U rho U^dag (U^dag rho U for the compression), against the
+    state of population p in the final endpoint's eigenbasis: the
+    independent oracle for thermo.entropy_production.
+    """
+    if compression:
+        axis_init, axis_final, rotation = "y", "x", u.adjoint()
+    else:
+        axis_init, axis_final, rotation = "x", "y", u
+    rho_final = Density2(*_rotated(rotation, gibbs_state(p, axis_init)))
+    return relative_entropy(rho_final, gibbs_state(p, axis_final))
+
+
+def run_suite() -> tuple[int, list[str]]:
+    """Run every check: (exit status, PASS/FAIL lines and a summary line)."""
+    freqs = CycleFrequencies(2.0, 3.6)
+    rng = random.Random(20240817)
+    lines = []
+
+    def check(name: str, ok: bool) -> None:
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}\n")
+
+    def random_unitary():
+        # Rejection-sampled so xi stays in its physical range [0, 1/2].
+        while True:
+            a = rng.uniform(-2.0, 2.0)
+            d = rng.uniform(-2.0, 2.0)
+            b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            u = exp_neg_i_h(Hermitian2(a, b, b.conjugate(), d),
+                            rng.uniform(0.0, 2.0))
+            if transition_probability(u) <= 0.5:
+                return u
+
+    # Closed-form identities over random inputs.
+    ok_close = ok_decomp = ok_oracle = True
+    for _ in range(300):
+        p_c = rng.uniform(0.01, 0.99)
+        p_h = rng.uniform(0.01, 0.99)
+        u = random_unitary()
+        xi = transition_probability(u)
+        en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
+        ok_close &= abs(en.w_exp + en.w_comp + en.q_c + en.q_h) <= 1e-12
+        ok_decomp &= abs(en.w_net - (en.w_ad + en.w_fric)) <= 1e-12
+        en2 = energetics_from_states(p_c, p_h, u, freqs)
+        ok_oracle &= all(abs(a - b) <= 1e-10 for a, b in [
+            (en.w_exp, en2.w_exp), (en.w_comp, en2.w_comp),
+            (en.q_c, en2.q_c), (en.q_h, en2.q_h)])
+    check("first-law closure", ok_close)
+    check("net work decomposition", ok_decomp)
+    check("trace-based oracle equivalence", ok_oracle)
+
+    # The closed-form entropy production against the matrix route, and the
+    # stroke's friction term recovered from it, inversion included.
+    ok_div = True
+    for p, compression, nu_f in [(0.4, False, freqs.nu_h),
+                                 (0.8, True, freqs.nu_c),
+                                 (0.25, False, freqs.nu_h)]:
+        u = random_unitary()
+        xi = transition_probability(u)
+        sigma = entropy_production(p, xi)
+        ok_div &= abs(stroke_divergence(p, u, compression) - sigma) <= 1e-12
+        friction = (nu_f / exponent_from_population(p)) * sigma
+        ok_div &= abs(friction - nu_f * xi * (1.0 - 2.0 * p)) <= 1e-10
+        ok_div &= sigma >= -1e-12
+    check("entropy-production route", ok_div)
+
+    w = negative_friction_window(0.8, freqs)
+    check("negative-friction window lower bound 1/3",
+          w is not None and abs(w[0] - 1.0 / 3.0) <= 1e-12)
+
+    ok_adj = True
+    for tau in [0.02, 0.1, 0.3, 0.6, 1.0]:
+        ue = evolve_expansion(tau, freqs).U
+        uc = integrate_compression(tau, freqs).U
+        ok_adj &= (uc - ue.adjoint()).max_abs() <= 1e-9
+    check("compression propagator = adjoint of expansion", ok_adj)
+
+    xi_fast = evolve_expansion(1e-4, freqs).xi
+    xi_slow = evolve_expansion(2.0, freqs).xi
+    check("xi limits (sudden 1/2, adiabatic 0)",
+          0.499 <= xi_fast <= 0.5 and xi_slow < 0.01)
+
+    en = cycle_energetics(CycleInputs(freqs, 0.4, 0.8, 0.0))
+    check("adiabatic efficiency 1 - nu_c/nu_h",
+          en.eta is not None and abs(en.eta - (1.0 - 2.0 / 3.6)) <= 1e-12)
+
+    failures = sum(line.startswith("FAIL") for line in lines)
+    lines.append(f"{'OK' if failures == 0 else 'FAILED'}: "
+                 f"{failures} failure(s)\n")
+    return (0 if failures == 0 else 1), lines

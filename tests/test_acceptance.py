@@ -13,12 +13,12 @@ import pytest
 from otto_tls import (CycleFrequencies, CycleInputs, IntegratorConfig,
                       TauSweepSpec, adiabatic_efficiency, cycle_energetics,
                       energetics_from_states, evolve_expansion,
-                      exponent_from_population, friction_from_divergence,
-                      integrate_compression, negative_friction_window,
-                      propagate_fixed_steps, run_tau_sweep,
-                      transition_probability, xi_sweep)
+                      exponent_from_population, integrate_compression,
+                      negative_friction_window, propagate_fixed_steps,
+                      run_tau_sweep, transition_probability, xi_sweep)
 from otto_tls.sweep import log_spaced
 from otto_tls.thermo import MODE_ENGINE
+from otto_tls.verify import stroke_divergence
 
 from conftest import random_stroke_unitary
 
@@ -114,16 +114,18 @@ def test_criterion_6_entropy_production_route():
     for _ in range(200):
         u = random_stroke_unitary(rng)
         xi = transition_probability(u)
-        for stroke, nu_fin in (("expansion", 3.6), ("compression", 2.0)):
+        for compression, nu_fin in ((False, 3.6), (True, 2.0)):
             p = rng.uniform(0.02, 0.98)
             if abs(p - 0.5) < 1e-6:
                 continue
-            res = friction_from_divergence(p, exponent_from_population(p),
-                                           u, stroke, FREQS)
-            assert res.divergence >= -1e-12
+            # The matrix route: the rotated Gibbs state against its
+            # quasi-static reference, times the stroke temperature.
+            divergence = stroke_divergence(p, u, compression)
+            assert divergence >= -1e-12
+            work = nu_fin / exponent_from_population(p) * divergence
             term = nu_fin * xi * (1.0 - 2.0 * p)
-            worst = max(worst, abs(res.work - term))
-            if res.work < -1e-12:
+            worst = max(worst, abs(work - term))
+            if work < -1e-12:
                 saw_negative = True
     assert worst <= 1e-10
     assert saw_negative  # inverted reservoirs do produce negative friction

@@ -464,6 +464,21 @@ class TestErrorsAndVerify:
                               "18 steps")
         assert path.read_text() == "earlier output\n"
 
+    def test_xi_tolerance_below_rounding_is_refused_at_once(self):
+        # Rounding keeps |xi_2n - xi_n| above about 1e-15, so at 1e-300
+        # every stroke ran to MAX_STEPS, 4.7 s each; the 1e-14 floor of
+        # xi_tolerance ends the call before any integration.
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            "cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+            "--ph", "0.8", "--tau", "300", "--xi-tol", "1e-300")
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        assert out == ""
+        assert err == ("otto-tls: xi_tolerance must lie in [1e-14, 1e-2), "
+                       "got 1e-300\n")
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("command", [
         ("xi", "--nu-c", "2", "--nu-h", "3.6"),
         ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
@@ -594,6 +609,31 @@ for argv in (["--version"], ["--help"], ["tau-sweep"]):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0 []", "0 []", "2 []"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "0.8"], []),
+    (["cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
+      "--xi", "0.25"], []),
+    (["tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph",
+      "0.8", "--points", "3"], ["otto_tls.propagator"]),
+])
+def test_closed_form_commands_load_no_integrator(argv, loaded):
+    # windows and cycle --xi are closed forms: they load neither the stroke
+    # integrator nor the checking path, and tau-sweep, which integrates,
+    # does not load the checking path either.
+    modules = ("otto_tls.propagator", "otto_tls.verify")
+    code = f"""
+import contextlib, io, sys
+from otto_tls.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, [m for m in {modules!r} if m in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {loaded!r}"]
 
 
 def test_annotations_resolve():

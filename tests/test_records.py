@@ -10,10 +10,9 @@ import otto_tls
 from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       CycleInputs, Density2, DomainError, Hermitian2,
                       IntegratorConfig, Matrix2, PhaseMapRow, PhaseMapSpec,
-                      PropagatorResult, StrokeDuration, StrokeFriction,
-                      TauSweepSpec, Unitary2, cycle_energetics,
-                      evolve_expansion, exp_neg_i_h, exponent_from_population,
-                      friction_from_divergence, gibbs_population, gibbs_state,
+                      PropagatorResult, StrokeDuration, TauSweepSpec,
+                      Unitary2, cycle_energetics, evolve_expansion,
+                      exp_neg_i_h, gibbs_population, gibbs_state,
                       run_phase_map, run_tau_sweep, xi_sweep)
 from otto_tls.sweep import linear_spaced, log_spaced, tau_grid_us
 
@@ -33,8 +32,6 @@ SAMPLES = [
     evolve_expansion(0.3, FREQS),
     INPUTS,
     cycle_energetics(INPUTS),
-    friction_from_divergence(0.4, exponent_from_population(0.4), U,
-                             "expansion", FREQS),
     TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 3)),
     PhaseMapSpec(FREQS, [0.0, 1.0], [0.0, 0.5]),
     run_phase_map(PhaseMapSpec(FREQS, [0.2, 0.8], [0.1, 0.4]), threads=1)[0],
@@ -47,7 +44,7 @@ def test_samples_cover_every_public_record():
     public = {getattr(otto_tls, n) for n in otto_tls.__all__}
     records = {c for c in public if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in SAMPLES}
-    assert len(records) == 14  # 11 records and the three Matrix2 roles
+    assert len(records) == 13  # 10 records and the three Matrix2 roles
 
 
 RECORD_FIELDS = {
@@ -61,7 +58,6 @@ RECORD_FIELDS = {
     "PropagatorResult": "U steps_used xi_error_estimate xi converged",
     "CycleInputs": "freqs p_c p_h xi",
     "CycleEnergetics": "w_exp w_comp q_c q_h w_net w_ad w_fric eta mode",
-    "StrokeFriction": "work divergence inv_beta_eff singular_reference",
     "TauSweepSpec": "freqs p_c p_h taus cfg",
     "PhaseMapSpec": "freqs ph_values pc_values xi",
     "PhaseMapRow": "p_h p_c w_fric mode on_zero_line",
@@ -146,7 +142,6 @@ class TestConstruction:
                                     xi=0.1, converged=False).converged
         assert PhaseMapRow(0.2, 0.1, 0.5, mode="engine",
                            on_zero_line=False).mode == "engine"
-        assert StrokeFriction(0.1, 0.2, 0.5, singular_reference=False).work == 0.1
         assert CycleEnergetics(*range(7), None, "engine").is_engine
 
     @pytest.mark.parametrize("build", [
@@ -188,6 +183,8 @@ NAN, INF = math.nan, math.inf
     (lambda: gibbs_population(NAN), DomainError, "exponent must be finite"),
     (lambda: IntegratorConfig(xi_tolerance=0.0), DomainError, "xi_tolerance"),
     (lambda: IntegratorConfig(xi_tolerance=0.02), DomainError, "xi_tolerance"),
+    (lambda: IntegratorConfig(xi_tolerance=1e-15), DomainError,
+     "1e-14, 1e-2"),  # the message names the accepted range
     (lambda: PropagatorResult(U, 16, 0.0, 0.6), DomainError, "outside"),
     (lambda: PropagatorResult(U, 16, 0.0, -0.1), DomainError, "outside"),
     (lambda: CycleInputs(FREQS, -0.1, 0.8, 0.25), DomainError, "p_c must lie"),
