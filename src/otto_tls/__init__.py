@@ -19,7 +19,7 @@ _HOMES = {
     "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h",
     "errors": "OttoError ConstraintViolation DomainError ConvergenceError",
     "tls": "CycleFrequencies StrokeDuration gibbs_population "
-           "exponent_from_population gibbs_state projector_excited",
+           "exponent_from_population",
     "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
                   "integrate_compression propagate_fixed_steps "
                   "transition_probability xi_sweep",
@@ -28,7 +28,8 @@ _HOMES = {
               "hot_population_window adiabatic_efficiency",
     "sweep": "TauSweepSpec PhaseMapSpec PhaseMapRow run_tau_sweep "
              "run_phase_map zero_friction_line",
-    "verify": "energetics_from_states relative_entropy",
+    "verify": "energetics_from_states relative_entropy gibbs_state "
+              "projector_excited",
 }
 _HOME = {name: module for module, names in _HOMES.items()
          for name in names.split()}

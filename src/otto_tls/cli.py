@@ -286,6 +286,11 @@ def _cmd_phase_map(args) -> tuple:
                         zero_friction_line)
     from .tls import CycleFrequencies
 
+    cpus = os.cpu_count() or 1
+    if args.threads is not None and not 1 <= args.threads <= cpus:
+        # Each worker is an OS thread: refused before any is started.
+        raise ValueError(f"--threads must lie in [1, {cpus}], got "
+                         f"{args.threads}")  # exits 2
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     spec = PhaseMapSpec(
         freqs,

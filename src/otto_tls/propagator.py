@@ -30,7 +30,6 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .complex2 import Unitary2
 from .errors import ConvergenceError, DomainError
 from .tls import KET_MINUS_X, KET_PLUS_Y, CycleFrequencies, StrokeDuration
 
@@ -79,17 +78,19 @@ class PropagatorResult(namedtuple("PropagatorResult",
                                   "U steps_used xi_error_estimate xi converged")):
     """Stroke propagator with how it was obtained.
 
-    steps_used is the final step count and xi_error_estimate the last
-    |xi_2n - xi_n|; converged is False only on ConvergenceError.best.  xi
-    is |amp|^2 >= 0, and rounding can take it just past 1/2 in the sudden
-    limit: a value within XI_MAX_SLACK of 1/2 is stored as 1/2, so every
-    consumer sees xi in [0, 1/2].  Larger values and NaN raise DomainError.
+    U is the row-major entries (u11, u12, u21, u22); complex2.Unitary2(*U)
+    wraps them for matrix methods.  steps_used is the final step count and
+    xi_error_estimate the last |xi_2n - xi_n|; converged is False only on
+    ConvergenceError.best.  xi is |amp|^2 >= 0, and rounding can take it
+    just past 1/2 in the sudden limit: a value within XI_MAX_SLACK of 1/2
+    is stored as 1/2, so every consumer sees xi in [0, 1/2].  Larger values
+    and NaN raise DomainError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, U: Unitary2, steps_used: int, xi_error_estimate: float,
-                xi: float, converged: bool = True):
+    def __new__(cls, U: tuple[complex, ...], steps_used: int,
+                xi_error_estimate: float, xi: float, converged: bool = True):
         if not (0.0 <= xi <= 0.5 + XI_MAX_SLACK):
             raise DomainError(f"xi={xi} outside [0, 1/2]")
         return tuple.__new__(cls, (U, steps_used, xi_error_estimate,
@@ -113,15 +114,14 @@ def _propagate(tau: float, freqs: CycleFrequencies,
     u = 1.0 + 0j
     v = 0j
     total_angle = 0.0
-    ang = 0.5 * math.pi / tau
+    quarter_turn = 0.5 * math.pi
     dnu = freqs.nu_h - freqs.nu_c
     nu_c = freqs.nu_c
     cos, sin = math.cos, math.sin
     for k in range(steps):
-        t = (k + 0.5) * dt
-        x = t / tau
+        x = (k + 0.5) / steps  # t / tau, also where tau / steps underflows
         r = 0.5 * (nu_c + dnu * x)
-        th = ang * t
+        th = quarter_turn * x
         c = cos(th)
         sn = sin(th)
         sr = s * r
@@ -229,11 +229,11 @@ def _xi_raw(u11: complex, u12: complex, u21: complex, u22: complex) -> float:
     return abs(amp) ** 2
 
 
-def transition_probability(u: Unitary2) -> float:
-    """Adiabaticity parameter xi = |<+y|U|-x>|^2.
+def transition_probability(u: Sequence[complex]) -> float:
+    """Adiabaticity parameter xi = |<+y|U|-x>|^2 of U's row-major entries.
 
-    Unitarity makes this equal to |<-y|U|+x>|^2; Unitary2 enforces
-    unitarity when U is built, so only the first form is evaluated.
+    For a unitary U this equals |<-y|U|+x>|^2, so only the first form is
+    evaluated; any four entries are accepted, a Unitary2 among them.
     """
     return _xi_raw(*u)
 
@@ -265,9 +265,9 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         xi = xi_of(raw)
         err = abs(xi - xi_prev)
         if err < cfg.xi_tolerance:
-            return PropagatorResult(Unitary2(*raw), n, err, xi)
+            return PropagatorResult(raw, n, err, xi)
         xi_prev = xi
-    best = PropagatorResult(Unitary2(*raw), n, err, xi, converged=False)
+    best = PropagatorResult(raw, n, err, xi, converged=False)
     raise ConvergenceError(
         f"xi not converged to {cfg.xi_tolerance} within {MAX_STEPS} steps "
         f"(tau={tau} ms)", best=best)
@@ -293,16 +293,16 @@ def integrate_compression(tau: float, freqs: CycleFrequencies,
 
 
 def propagate_fixed_steps(tau: float, freqs: CycleFrequencies,
-                          steps: int) -> Unitary2:
+                          steps: int) -> tuple[complex, ...]:
     """Single exponential-midpoint integration of the expansion stroke.
 
-    The second-order reference: no doubling, and not the Magnus scheme that
-    evolve_expansion and integrate_compression use.
+    The second-order reference, as row-major entries: no doubling, and not
+    the Magnus scheme that evolve_expansion and integrate_compression use.
     """
     StrokeDuration(tau)  # validates tau
     if steps < 1:
         raise DomainError("steps must be positive")
-    return Unitary2(*_propagate(tau, freqs, steps))
+    return _propagate(tau, freqs, steps)
 
 
 def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,

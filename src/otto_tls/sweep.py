@@ -29,6 +29,18 @@ from .thermo import (CycleEnergetics, CycleInputs, _zero_friction_pc,
                      cycle_energetics)
 from .tls import CycleFrequencies
 
+# The most points of a grid and cells of a phase map: the grids, the rows
+# and the CSV lines are held in memory, and a 500,000-cell map peaks near
+# 1 GB (about 1.9 kB per cell on the thread pool).
+MAX_POINTS = 500_000
+
+
+def _check_count(points: int) -> None:
+    if points < 2:
+        raise DomainError("points must be at least 2")
+    if points > MAX_POINTS:
+        raise DomainError(f"points must be at most {MAX_POINTS}, got {points}")
+
 
 def _check_finite_bounds(lo: float, hi: float) -> None:
     for x in (lo, hi):
@@ -41,8 +53,7 @@ def log_spaced(lo: float, hi: float, points: int) -> list[float]:
     _check_finite_bounds(lo, hi)
     if not (0.0 < lo < hi):
         raise DomainError(f"need 0 < lo < hi, got {lo}, {hi}")
-    if points < 2:
-        raise DomainError("points must be at least 2")
+    _check_count(points)
     la, lb = math.log(lo), math.log(hi)
     grid = [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
     grid[0], grid[-1] = lo, hi  # exp(log(x)) can miss x by ulps
@@ -53,8 +64,7 @@ def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
     _check_finite_bounds(lo, hi)
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    if points < 2:
-        raise DomainError("points must be at least 2")
+    _check_count(points)
     grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
     grid[-1] = hi  # lo + (hi - lo) can round above hi
     return grid
@@ -122,7 +132,7 @@ class PhaseMapSpec(namedtuple("PhaseMapSpec", "freqs ph_values pc_values xi")):
 
     The sign structure of the friction work does not depend on the stroke
     duration, so xi enters only as a magnitude.  The grids are kept as
-    tuples.
+    tuples, and hold at most MAX_POINTS cells together.
     """
 
     __slots__ = ()
@@ -137,6 +147,10 @@ class PhaseMapSpec(namedtuple("PhaseMapSpec", "freqs ph_values pc_values xi")):
                 raise DomainError(f"{name} grid must be strictly increasing")
             if grid[0] < 0.0 or grid[-1] > hi:
                 raise DomainError(f"{name} grid must lie in [0, {hi}]")
+        cells = len(ph_values) * len(pc_values)
+        if cells > MAX_POINTS:
+            raise DomainError(
+                f"phase map has {cells} cells, more than {MAX_POINTS}")
         if not (0.0 <= xi <= 0.5):
             raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
         return tuple.__new__(cls, (freqs, ph_values, pc_values, xi))

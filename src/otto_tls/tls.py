@@ -1,4 +1,4 @@
-"""Two-level-system model: cycle parameters, projectors and Gibbs states.
+"""Two-level-system model: cycle parameters, endpoint kets, populations.
 
 Energies are expressed in units of h*kHz throughout (Planck's constant never
 appears numerically); times are in ms, frequencies in kHz.  The excited
@@ -8,7 +8,7 @@ eigenstates of the two stroke endpoints are fixed as
 A reservoir is described either by its excited-state population p or by the
 dimensionless exponent u = beta*h*nu; the two are related by p = 1/(e^u + 1),
 and u < 0 (population inversion, p > 1/2) encodes a negative effective
-temperature.
+temperature.  The matrix forms, projectors and Gibbs states, are in verify.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .complex2 import Density2, Hermitian2
 from .errors import DomainError
 
 _S2 = 1.0 / math.sqrt(2.0)
@@ -76,37 +75,3 @@ def exponent_from_population(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise DomainError(f"population must lie in (0, 1), got {p}")
     return math.log1p(-p) - math.log(p)
-
-
-# The two projectors are immutable, so every caller shares one instance.
-_PROJECTOR_X = Hermitian2(0.5, 0.5, 0.5, 0.5)
-_PROJECTOR_Y = Hermitian2(0.5, -0.5j, 0.5j, 0.5)
-
-
-def projector_excited(axis: str) -> Hermitian2:
-    """Rank-1 projector onto the excited state of the given axis.
-
-    axis 'x' projects onto (1, 1)/sqrt(2); axis 'y' onto (1, i)/sqrt(2).
-    """
-    if axis == "x":
-        return _PROJECTOR_X
-    if axis == "y":
-        return _PROJECTOR_Y
-    raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def gibbs_state(p: float, axis: str) -> Density2:
-    """Thermal state diagonal in the given axis basis.
-
-    rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis;
-    p = 0 and p = 1 give the pure ground and excited states.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"population must lie in [0, 1], got {p}")
-    proj = projector_excited(axis)
-    # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
-    w = 2.0 * p - 1.0
-    return Density2(
-        (1.0 - p) + w * proj.a11, w * proj.a12,
-        w * proj.a21, (1.0 - p) + w * proj.a22,
-    )

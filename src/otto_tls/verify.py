@@ -4,7 +4,8 @@ thermo computes every energy and the entropy production in closed form.
 The oracles here reach them a second, independent way, from the density
 matrices of the cycle: energetics_from_states as traces, stroke_divergence
 as the relative entropy of a rotated Gibbs state.  run_suite checks the
-closed forms against them and the integrator against its limits; only
+closed forms against them and the integrator against its limits, wrapping
+a stroke's entries PropagatorResult.U as Unitary2 to take adjoints.  Only
 `otto-tls verify`, the tests and the benchmark load this module.
 """
 
@@ -14,16 +15,49 @@ import math
 import random
 
 from .complex2 import Density2, Hermitian2, Unitary2, exp_neg_i_h
+from .errors import DomainError
 from .propagator import (evolve_expansion, integrate_compression,
                          transition_probability)
 from .thermo import (MODE_ENGINE, CycleEnergetics, CycleInputs, _classify,
                      cycle_energetics, entropy_production,
                      negative_friction_window)
-from .tls import (CycleFrequencies, exponent_from_population, gibbs_state,
-                  projector_excited)
+from .tls import CycleFrequencies, exponent_from_population
 
 _SUPPORT_EIG_TOL = 1e-14
 _SUPPORT_WEIGHT_TOL = 1e-12
+
+# The two projectors are immutable, so every caller shares one instance.
+_PROJECTOR_X = Hermitian2(0.5, 0.5, 0.5, 0.5)
+_PROJECTOR_Y = Hermitian2(0.5, -0.5j, 0.5j, 0.5)
+
+
+def projector_excited(axis: str) -> Hermitian2:
+    """Rank-1 projector onto the excited state of the given axis.
+
+    axis 'x' projects onto (1, 1)/sqrt(2); axis 'y' onto (1, i)/sqrt(2).
+    """
+    if axis == "x":
+        return _PROJECTOR_X
+    if axis == "y":
+        return _PROJECTOR_Y
+    raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
+
+
+def gibbs_state(p: float, axis: str) -> Density2:
+    """Thermal state diagonal in the given axis basis.
+
+    rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis;
+    p = 0 and p = 1 give the pure ground and excited states.
+    """
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"population must lie in [0, 1], got {p}")
+    proj = projector_excited(axis)
+    # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
+    w = 2.0 * p - 1.0
+    return Density2(
+        (1.0 - p) + w * proj.a11, w * proj.a12,
+        w * proj.a21, (1.0 - p) + w * proj.a22,
+    )
 
 
 def _trace_product(a, b) -> float:
@@ -199,8 +233,8 @@ def run_suite() -> tuple[int, list[str]]:
 
     ok_adj = True
     for tau in [0.02, 0.1, 0.3, 0.6, 1.0]:
-        ue = evolve_expansion(tau, freqs).U
-        uc = integrate_compression(tau, freqs).U
+        ue = Unitary2(*evolve_expansion(tau, freqs).U)
+        uc = Unitary2(*integrate_compression(tau, freqs).U)
         ok_adj &= (uc - ue.adjoint()).max_abs() <= 1e-9
     check("compression propagator = adjoint of expansion", ok_adj)
 

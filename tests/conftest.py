@@ -15,8 +15,9 @@ def reference_freqs():
 
 
 def to_numpy(m) -> np.ndarray:
-    """A 2x2 matrix as a complex numpy array, for dense oracles."""
-    return np.array([[m.a11, m.a12], [m.a21, m.a22]], dtype=complex)
+    """A 2x2 matrix, or its row-major entries, as a complex numpy array."""
+    a11, a12, a21, a22 = m
+    return np.array([[a11, a12], [a21, a22]], dtype=complex)
 
 
 def random_hermitian(rng: random.Random, scale: float = 2.0) -> Hermitian2:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from otto_tls import (CycleFrequencies, CycleInputs, IntegratorConfig,
-                      TauSweepSpec, adiabatic_efficiency, cycle_energetics,
+                      TauSweepSpec, Unitary2, adiabatic_efficiency, cycle_energetics,
                       energetics_from_states, evolve_expansion,
                       exponent_from_population, integrate_compression,
                       negative_friction_window, propagate_fixed_steps,
@@ -173,8 +173,8 @@ def test_criterion_8_positive_temperature_sweep():
 def test_criterion_9_adjoint_identity():
     worst = 0.0
     for tau in log_spaced(0.01, 1.0, 20):
-        ue = evolve_expansion(tau, FREQS).U
-        uc = integrate_compression(tau, FREQS).U
+        ue = Unitary2(*evolve_expansion(tau, FREQS).U)
+        uc = Unitary2(*integrate_compression(tau, FREQS).U)
         worst = max(worst, (uc - ue.adjoint()).max_abs())
     assert worst <= 1e-9
     report(9, f"compression vs adjoint expansion over 20 taus, "

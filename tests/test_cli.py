@@ -21,9 +21,10 @@ from otto_tls import (CycleFrequencies, PhaseMapSpec, evolve_expansion,
                       run_phase_map)
 from otto_tls import cli as otto_cli
 from otto_tls.cli import build_parser, main
-from otto_tls.sweep import linear_spaced
+from otto_tls.sweep import MAX_POINTS, linear_spaced
 
 UNITS_LINE = "# energy unit: h*kHz; time unit: us"
+CPUS = os.cpu_count() or 1
 
 
 def run_cli(*argv):
@@ -364,6 +365,35 @@ class TestErrorsAndVerify:
         assert err.startswith("otto-tls: grid bounds must be finite, got ")
         assert err.split()[-1] in ("inf", "-inf", "nan")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("xi", "--nu-c", "2", "--nu-h", "3.6", "--points", "300000000"),
+         f"points must be at most {MAX_POINTS}, got 300000000"),
+        (("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+          "--ph", "0.8", "--linear", "--points", str(MAX_POINTS + 1)),
+         f"points must be at most {MAX_POINTS}, got {MAX_POINTS + 1}"),
+        (("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--ph-points", "20000",
+          "--pc-points", "20000"),
+         f"phase map has 400000000 cells, more than {MAX_POINTS}"),
+    ])
+    def test_oversized_grid_is_refused_at_once(self, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out, err) == (1, "", f"otto-tls: {message}\n")
+
+    @pytest.mark.parametrize("threads", ["0", "-1", str(CPUS + 1), "100000"],
+                             ids=["zero", "negative", "cpus-plus-1", "huge"])
+    def test_threads_outside_cpu_count_refused(self, monkeypatch, threads):
+        def never(*args, **kwargs):
+            raise AssertionError("run_phase_map called")
+
+        monkeypatch.setattr("otto_tls.sweep.run_phase_map", never)
+        code, out, err = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
+                                 "--threads", threads)
+        assert (code, out, err) == (
+            2, "", f"otto-tls: --threads must lie in [1, {CPUS}], got "
+                   f"{threads}\n")
+
     @pytest.mark.parametrize("argv", [
         ("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
          "--ph", "0.8", "--threads", "2"),
@@ -534,16 +564,23 @@ FREQ_PAIRS = st.one_of(
              max_size=2, unique=True).map(lambda p: sorted(map(repr, p),
                                                            key=float)),
     st.tuples(VALUES, VALUES))
-# Grid sizes stay small: a huge count exhausts memory before any check.
-COUNTS = st.integers(min_value=2, max_value=20).map(str)
+# Grid sizes: small enough to run, below 2, or far above sweep.MAX_POINTS,
+# which a grid refuses before it allocates.
+COUNTS = st.one_of(
+    st.integers(min_value=2, max_value=20),
+    st.integers(min_value=-1, max_value=1),
+    st.integers(min_value=MAX_POINTS + 1, max_value=10**30)).map(str)
+# Thread counts: in range but at most 4, or outside [1, cpu count], which
+# phase-map refuses before it starts a thread; no huge value is accepted.
+THREADS = st.one_of(
+    st.integers(min_value=1, max_value=min(CPUS, 4)),
+    st.integers(min_value=-1, max_value=0),
+    st.integers(min_value=CPUS + 1, max_value=10**30)).map(str)
 
 
 @st.composite
 def argvs(draw):
-    """A subcommand with drawn values for its numeric options.
-
-    --threads is never drawn: each value starts that many threads.
-    """
+    """A subcommand with drawn values for its numeric options."""
     def opts(*names):
         return [f"{name}={draw(VALUES)}" for name in names
                 if draw(st.booleans())]
@@ -564,6 +601,8 @@ def argvs(draw):
     if command == "phase-map":
         argv += opts("--xi", "--tau")[:1]
         argv += ["--ph-points", draw(COUNTS), "--pc-points", draw(COUNTS)]
+        if draw(st.booleans()):
+            argv += ["--threads", draw(THREADS)]
     if command == "windows":
         argv += opts("--ph", "--pc")
     else:
@@ -611,18 +650,30 @@ for argv in (["--version"], ["--help"], ["tau-sweep"]):
     assert proc.stdout.splitlines() == ["[]", "0 []", "0 []", "2 []"]
 
 
+FREQ_ARGV = ["--nu-c", "2", "--nu-h", "3.6"]
+POPULATIONS = ["--pc", "0.4", "--ph", "0.8"]
+SMALL_MAP = ["--ph-points", "3", "--pc-points", "3"]
+
+
 @pytest.mark.parametrize("argv, loaded", [
-    (["windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "0.8"], []),
-    (["cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
-      "--xi", "0.25"], []),
-    (["tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph",
-      "0.8", "--points", "3"], ["otto_tls.propagator"]),
+    (["windows", *FREQ_ARGV, "--ph", "0.8"], []),
+    (["cycle", *FREQ_ARGV, *POPULATIONS, "--xi", "0.25"], []),
+    (["tau-sweep", *FREQ_ARGV, *POPULATIONS, "--points", "3"],
+     ["otto_tls.propagator"]),
+    (["xi", *FREQ_ARGV, "--points", "3"], ["otto_tls.propagator"]),
+    (["cycle", *FREQ_ARGV, *POPULATIONS, "--tau", "300"],
+     ["otto_tls.propagator"]),
+    (["phase-map", *FREQ_ARGV, "--xi", "0.25", *SMALL_MAP],
+     ["otto_tls.propagator"]),
+    (["phase-map", *FREQ_ARGV, "--tau", "300", *SMALL_MAP],
+     ["otto_tls.propagator"]),
 ])
 def test_closed_form_commands_load_no_integrator(argv, loaded):
     # windows and cycle --xi are closed forms: they load neither the stroke
-    # integrator nor the checking path, and tau-sweep, which integrates,
-    # does not load the checking path either.
-    modules = ("otto_tls.propagator", "otto_tls.verify")
+    # integrator nor the checking path.  No production command, integrating
+    # or not, loads the checking path or the 2x2 matrices it works on.
+    modules = ("otto_tls.propagator", "otto_tls.verify", "otto_tls.complex2",
+               "cmath")
     code = f"""
 import contextlib, io, sys
 from otto_tls.cli import main

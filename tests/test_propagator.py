@@ -268,10 +268,37 @@ class TestMagnusKernel:
         assert sum(evolve_expansion(t, FREQS).steps_used for t in taus) <= 3500
 
 
+TAUS_SUDDEN_TO_ADIABATIC = [5e-324, 1e-300, 1e-9, 1e-4, 0.01, 0.1, 0.34,
+                            1.0, 2.0]
+
+
 class TestUnitarity:
+    # The propagator builds no Unitary2: each Magnus and midpoint step is an
+    # exact SU(2) rotation, and these tests prove what a construction-time
+    # check used to re-prove on every stroke.
+    @pytest.mark.parametrize("tau", TAUS_SUDDEN_TO_ADIABATIC)
+    def test_every_returned_propagator_is_unitary(self, tau):
+        results = [evolve_expansion(tau, FREQS).U,
+                   integrate_compression(tau, FREQS).U]
+        results += [propagate_fixed_steps(tau, FREQS, steps)
+                    for steps in (1, 8, 333)]
+        for u in results:
+            assert len(u) == 4
+            Unitary2(*u)  # raises ConstraintViolation if not unitary
+
+    def test_unconverged_best_is_unitary(self, monkeypatch):
+        # A bound of 58 steps leaves each of these strokes short of a
+        # 1e-14 tolerance, so each ends in a ConvergenceError.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 58)
+        cfg = IntegratorConfig(xi_tolerance=1e-14)
+        for tau in (0.1, 0.34, 1.0):
+            for integrate in (evolve_expansion, integrate_compression):
+                with pytest.raises(ConvergenceError) as exc:
+                    integrate(tau, FREQS, cfg)
+                Unitary2(*exc.value.best.U)
+
     def test_intermediate_unitarity(self):
-        # Every returned propagator passes the Unitary2 constructor, and a
-        # coarse fixed-step run stays unitary too (each factor is exact).
+        # A coarse fixed-step run stays unitary (each factor is exact).
         for steps in [3, 17, 101]:
             u = propagate_fixed_steps(0.7, FREQS, steps)
             m = to_numpy(u)
@@ -282,9 +309,7 @@ def richardson_midpoint(tau: float, steps: int) -> list[complex]:
     """(4*U_2n - U_n)/3 from the second-order midpoint rule, entrywise."""
     coarse = propagate_fixed_steps(tau, FREQS, steps)
     fine = propagate_fixed_steps(tau, FREQS, 2 * steps)
-    return [(4.0 * f - c) / 3.0 for f, c in zip(
-        (fine.a11, fine.a12, fine.a21, fine.a22),
-        (coarse.a11, coarse.a12, coarse.a21, coarse.a22))]
+    return [(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse)]
 
 
 class TestFullUnitaryOracle:
@@ -292,8 +317,8 @@ class TestFullUnitaryOracle:
     def test_strokes_match_midpoint_richardson(self, tau):
         # Entrywise, so the global phase that xi never sees is checked too.
         ref = richardson_midpoint(tau, 1 << 14)
-        for u in (evolve_expansion(tau, FREQS).U,
-                  integrate_compression(tau, FREQS).U.adjoint()):
+        for u in (Unitary2(*evolve_expansion(tau, FREQS).U),
+                  Unitary2(*integrate_compression(tau, FREQS).U).adjoint()):
             got = (u.a11, u.a12, u.a21, u.a22)
             assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-9
 
@@ -304,7 +329,8 @@ class TestAdjointIdentity:
         for tau in taus:
             ue = evolve_expansion(tau, FREQS)
             uc = integrate_compression(tau, FREQS)
-            assert (uc.U - ue.U.adjoint()).max_abs() < 1e-9
+            assert (Unitary2(*uc.U) - Unitary2(*ue.U).adjoint()).max_abs() \
+                < 1e-9
             assert uc.xi == pytest.approx(ue.xi, abs=1e-8)
 
 

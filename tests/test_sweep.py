@@ -9,7 +9,7 @@ from otto_tls import (CycleFrequencies, CycleInputs, DomainError,
                       adiabatic_efficiency, cycle_energetics,
                       negative_friction_window, run_phase_map, run_tau_sweep,
                       xi_sweep, zero_friction_line)
-from otto_tls.sweep import linear_spaced, log_spaced
+from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced
 from otto_tls.thermo import MODE_ENGINE
 
 FREQS = CycleFrequencies(2.0, 3.6)
@@ -49,6 +49,16 @@ class TestGrids:
         with pytest.raises(DomainError,
                            match=f"^grid bounds must be finite, got {bad}$"):
             spacing(lo, hi, 4)
+
+    @pytest.mark.parametrize("spacing", [log_spaced, linear_spaced])
+    def test_point_count_is_bounded(self, spacing):
+        assert len(spacing(1.0, 2.0, MAX_POINTS)) == MAX_POINTS
+        for points in (MAX_POINTS + 1, 300_000_000, 10**30):
+            with pytest.raises(DomainError, match=(
+                    f"^points must be at most {MAX_POINTS}, got {points}$")):
+                spacing(1.0, 2.0, points)
+        with pytest.raises(DomainError, match="^points must be at least 2$"):
+            spacing(1.0, 2.0, 1)
 
 
 class TestTauSweep:
@@ -164,6 +174,13 @@ class TestPhaseMap:
             PhaseMapSpec(FREQS, ph_values=[-0.1, 0.8], pc_values=[0.1, 0.2])
         with pytest.raises(DomainError):
             PhaseMapSpec(FREQS, ph_values=[0.5, 0.8], pc_values=[-1e-9, 0.2])
+        # At most MAX_POINTS cells: 1000 x 500 is accepted, 1000 x 501 not.
+        ph = linear_spaced(0.0, 1.0, 1000)
+        assert len(PhaseMapSpec(FREQS, ph, linear_spaced(0.0, 0.5, 500))
+                   .ph_values) == 1000
+        with pytest.raises(DomainError, match=(
+                f"^phase map has 501000 cells, more than {MAX_POINTS}$")):
+            PhaseMapSpec(FREQS, ph, linear_spaced(0.0, 0.5, 501))
         # Grids may start at the zero-temperature population p = 0.
         spec = PhaseMapSpec(FREQS, ph_values=[0.0, 1.0], pc_values=[0.0, 0.5])
         assert [(r.p_h, r.p_c) for r in run_phase_map(spec)] == \
