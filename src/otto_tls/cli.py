@@ -119,7 +119,9 @@ def _add_output_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--xi-tol", type=float, default=1e-9,
+    # None when not given, so that cycle and phase-map can refuse it
+    # without --tau; _config applies the default.
+    p.add_argument("--xi-tol", type=float, default=None,
                    help="step-doubling tolerance on xi (default 1e-9)")
     _add_output_arg(p)
 
@@ -186,42 +188,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strokes(args, freqs, taus_us) -> tuple:
-    """Stroke durations in ms from taus_us, and the --xi-tol config.
-
-    Each duration is checked by cfg.resolve_steps, which refuses one that
-    is not positive and finite or is too long to integrate, so a grid
-    with such a stroke is refused before any point is integrated.
-    """
+def _config(args):
+    """The IntegratorConfig of --xi-tol, whose default is 1e-9."""
     from .propagator import IntegratorConfig
 
-    cfg = IntegratorConfig(xi_tolerance=args.xi_tol)
-    taus = [t * 1e-3 for t in taus_us]
-    for tau in taus:
-        cfg.resolve_steps(tau, freqs)
-    return taus, cfg
+    if args.xi_tol is None:
+        return IntegratorConfig()
+    return IntegratorConfig(args.xi_tol)
 
 
-def _tau_grid(args, freqs) -> tuple:
+def _tau_grid(args) -> tuple:
     """Stroke durations from --tau-min, --tau-max, --points, --linear.
 
     Returned in us, as printed, and in ms, as integrated (the one
     conversion of the grid), with the IntegratorConfig of --xi-tol.
+    xi_sweep checks every stroke before it integrates any.
     """
     from .sweep import tau_grid_us
 
     taus_us = tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
-    return (taus_us, *_strokes(args, freqs, taus_us))
+    return taus_us, [t * 1e-3 for t in taus_us], _config(args)
 
 
 def _xi(args, freqs) -> float:
     """xi from --xi, or from integrating a stroke of --tau us."""
     if args.tau is None:
+        if args.xi_tol is not None:
+            raise ValueError("--xi-tol has no effect without --tau")  # exits 2
         return args.xi
     from .propagator import evolve_expansion
 
-    (tau,), cfg = _strokes(args, freqs, [args.tau])
-    return evolve_expansion(tau, freqs, cfg).xi
+    return evolve_expansion(args.tau * 1e-3, freqs, _config(args)).xi
 
 
 def _unconverged(points) -> int | str:
@@ -237,7 +234,7 @@ def _cmd_xi(args) -> tuple:
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
-    taus_us, taus, cfg = _tau_grid(args, freqs)
+    taus_us, taus, cfg = _tau_grid(args)
     points = xi_sweep(taus, freqs, cfg)
     return _unconverged(points), _csv(
         ["tau_us", "xi", "xi_error", "converged"],
@@ -266,13 +263,13 @@ def _cmd_cycle(args) -> tuple:
 
 
 def _cmd_tau_sweep(args) -> tuple:
-    from .sweep import TauSweepSpec, run_tau_sweep
+    from .sweep import run_tau_sweep
     from .tls import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
-    taus_us, taus, cfg = _tau_grid(args, freqs)
-    rows = run_tau_sweep(TauSweepSpec(freqs, p_c, p_h, taus, cfg))
+    taus_us, taus, cfg = _tau_grid(args)
+    rows = run_tau_sweep(freqs, p_c, p_h, taus, cfg)
     return _unconverged([pt for pt, _ in rows]), _csv(
         ["tau_us", "xi", "w_net", "w_ad", "w_fric", "q_h", "q_c", "eta",
          "mode", "converged"],
@@ -282,8 +279,7 @@ def _cmd_tau_sweep(args) -> tuple:
 
 
 def _cmd_phase_map(args) -> tuple:
-    from .sweep import (PhaseMapSpec, linear_spaced, run_phase_map,
-                        zero_friction_line)
+    from .sweep import linear_spaced, run_phase_map, zero_friction_line
     from .tls import CycleFrequencies
 
     cpus = os.cpu_count() or 1
@@ -292,13 +288,11 @@ def _cmd_phase_map(args) -> tuple:
         raise ValueError(f"--threads must lie in [1, {cpus}], got "
                          f"{args.threads}")  # exits 2
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
-    spec = PhaseMapSpec(
-        freqs,
-        ph_values=linear_spaced(args.ph_min, args.ph_max, args.ph_points),
-        pc_values=linear_spaced(args.pc_min, args.pc_max, args.pc_points),
-        xi=_xi(args, freqs))
-    rows = run_phase_map(spec, threads=args.threads)
-    line = zero_friction_line(spec.ph_values, freqs)
+    ph_values = linear_spaced(args.ph_min, args.ph_max, args.ph_points)
+    pc_values = linear_spaced(args.pc_min, args.pc_max, args.pc_points)
+    rows = run_phase_map(freqs, ph_values, pc_values, _xi(args, freqs),
+                         threads=args.threads)
+    line = zero_friction_line(ph_values, freqs)
     out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
            for r in rows]
     out += [("zero_line", ph, pc, 0.0, "", "") for ph, pc in line]

@@ -13,7 +13,8 @@ exponential.  Every intermediate U is therefore unitary to rounding.  The
 step count is doubled until the adiabaticity parameter xi - the only scalar
 consumed downstream - is self-consistent to the configured tolerance, and
 no stroke integrates more than MAX_STEPS final steps.  Each integration
-returns one PropagatorResult, and xi_sweep returns one per stroke.
+returns one PropagatorResult; xi_sweep checks every stroke of its grid
+before it integrates any, then returns one per stroke.
 
 propagate_fixed_steps keeps the second-order exponential-midpoint rule as
 a simple fixed-step reference.
@@ -31,12 +32,17 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import ConvergenceError, DomainError
-from .tls import KET_MINUS_X, KET_PLUS_Y, CycleFrequencies, StrokeDuration
+from .tls import KET_MINUS_X, KET_PLUS_Y, CycleFrequencies
 
 XI_MAX_SLACK = 1e-9
 # The most final steps of one stroke; with the discarded coarser passes a
 # stroke computes fewer than 2 * MAX_STEPS steps.
 MAX_STEPS = 2**22
+
+
+def _check_tau(tau: float) -> None:
+    if not (0.0 < tau < math.inf):
+        raise DomainError(f"tau must be positive and finite, got {tau}")
 
 
 class IntegratorConfig(namedtuple("IntegratorConfig", "xi_tolerance")):
@@ -64,7 +70,7 @@ class IntegratorConfig(namedtuple("IntegratorConfig", "xi_tolerance")):
         Raises DomainError for a tau that is not positive and finite, or
         whose start leaves no room for one doubling within MAX_STEPS.
         """
-        StrokeDuration(tau)  # validates tau
+        _check_tau(tau)
         start = 8.0 * freqs.nu_h * tau  # compared before ceil: it may be inf
         if start > MAX_STEPS // 2:
             raise DomainError(
@@ -299,7 +305,7 @@ def propagate_fixed_steps(tau: float, freqs: CycleFrequencies,
     The second-order reference, as row-major entries: no doubling, and not
     the Magnus scheme that evolve_expansion and integrate_compression use.
     """
-    StrokeDuration(tau)  # validates tau
+    _check_tau(tau)
     if steps < 1:
         raise DomainError("steps must be positive")
     return _propagate(tau, freqs, steps)
@@ -309,11 +315,16 @@ def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,
              cfg: IntegratorConfig = IntegratorConfig()) -> list[PropagatorResult]:
     """evolve_expansion for each stroke duration (ms), in input order.
 
-    The one tau loop: the xi subcommand and run_tau_sweep both call it.  A
-    point that does not converge within MAX_STEPS is the ConvergenceError's
-    best estimate, with converged=False; it does not abort the sweep.  A
-    tau that resolve_steps refuses raises DomainError.
+    The one tau loop: the xi subcommand and run_tau_sweep both call it.
+    Every tau is checked by cfg.resolve_steps before any is integrated, so
+    a grid with a stroke that is not positive and finite, or too long to
+    integrate, raises DomainError without doing any work.  A point that
+    does not converge within MAX_STEPS is the ConvergenceError's best
+    estimate, with converged=False; it does not abort the sweep.
     """
+    tau_values = tuple(tau_values)  # read twice: checked, then integrated
+    for tau in tau_values:
+        cfg.resolve_steps(tau, freqs)
     out = []
     for tau in tau_values:
         try:

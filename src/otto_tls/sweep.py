@@ -1,19 +1,20 @@
 """Parameter sweeps: cycle tau-sweeps and the friction map.
 
-Times are in ms, as everywhere below the CLI.  A sweep spec holds its grid
-as a tuple: TauSweepSpec the stroke durations, PhaseMapSpec the population
-values; log_spaced and linear_spaced build them, and tau_grid_us builds the
-CLI's tau grid (us) from its bounds.  run_tau_sweep integrates its grid
-through propagator.xi_sweep, the loop behind the xi(tau) curve, and pairs
-each PropagatorResult with its CycleEnergetics; the phase map takes xi as
-given.  Every energy comes from thermo.cycle_energetics: a tau-sweep point
-and a phase-map cell at the same (p_c, p_h, xi) report the same friction
-work and mode.  Sweep points are independent pure computations, evaluated
-in input order.  Only the phase map may run its cells on a thread pool
-(threads); it assembles them in input order, so its output is bitwise
-deterministic whatever the thread count.  The tau loop is serial: its
-per-point work is pure Python that holds the interpreter lock, and a pool
-measured slower.
+Times are in ms, as everywhere below the CLI.  log_spaced and linear_spaced
+build the grids, and tau_grid_us builds the CLI's tau grid (us) from its
+bounds.  Each sweep checks its inputs when it is called: run_tau_sweep the
+populations, leaving the strokes to propagator.xi_sweep, the loop behind
+the xi(tau) curve, which checks every tau before it integrates any;
+run_phase_map its grids and xi.  run_tau_sweep pairs each PropagatorResult
+with its CycleEnergetics; the phase map takes xi as given and loads no
+integrator.  Every energy comes from thermo.cycle_energetics: a tau-sweep
+point and a phase-map cell at the same (p_c, p_h, xi) report the same
+friction work and mode.  Sweep points are independent pure computations,
+evaluated in input order.  Only the phase map may run its cells on a
+thread pool (threads); it assembles them in input order, so its output is
+bitwise deterministic whatever the thread count.  The tau loop is serial:
+its per-point work is pure Python that holds the interpreter lock, and a
+pool measured slower.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .propagator import IntegratorConfig, PropagatorResult, xi_sweep
 from .thermo import (CycleEnergetics, CycleInputs, _zero_friction_pc,
                      cycle_energetics)
 from .tls import CycleFrequencies
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # run_tau_sweep imports propagator when it runs
+    from .propagator import IntegratorConfig, PropagatorResult
 
 # The most points of a grid and cells of a phase map: the grids, the rows
 # and the CSV lines are held in memory, and a 500,000-cell map peaks near
@@ -92,68 +96,22 @@ def _map_ordered(fn, items, threads: int | None):
         return list(pool.map(fn, items))
 
 
-class TauSweepSpec(namedtuple("TauSweepSpec", "freqs p_c p_h taus cfg")):
-    """Cycle sweep over the stroke durations taus (ms).
+def run_tau_sweep(freqs: CycleFrequencies, p_c: float, p_h: float,
+                  taus: Sequence[float], cfg: IntegratorConfig
+                  ) -> list[tuple[PropagatorResult, CycleEnergetics]]:
+    """xi_sweep over the stroke durations taus (ms), then the energetics.
 
-    The grid is kept as a tuple, in its given order; build it with
-    log_spaced or linear_spaced.  Every duration is checked by
-    cfg.resolve_steps: it must be positive, finite, and short enough to
-    integrate within propagator.MAX_STEPS.
+    p_c and p_h are checked first, then xi_sweep checks every tau before it
+    integrates any.  Returns (PropagatorResult, CycleEnergetics) pairs in
+    grid order.  A point that does not converge within
+    propagator.MAX_STEPS has converged=False and keeps the best available
+    xi; it never aborts the sweep.
     """
+    from .propagator import xi_sweep
 
-    __slots__ = ()
-
-    def __new__(cls, freqs: CycleFrequencies, p_c: float, p_h: float,
-                taus: Sequence[float],
-                cfg: IntegratorConfig = IntegratorConfig()):
-        CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
-        taus = tuple(taus)
-        for tau in taus:
-            cfg.resolve_steps(tau, freqs)  # validates tau
-        return tuple.__new__(cls, (freqs, p_c, p_h, taus, cfg))
-
-
-def run_tau_sweep(
-        spec: TauSweepSpec) -> list[tuple[PropagatorResult, CycleEnergetics]]:
-    """xi_sweep over spec.taus, then the cycle energetics of each point.
-
-    Returns (PropagatorResult, CycleEnergetics) pairs in grid order.  A
-    point that does not converge within propagator.MAX_STEPS has
-    converged=False and keeps the best available xi; it never aborts the
-    sweep.
-    """
-    return [(pt, cycle_energetics(CycleInputs(spec.freqs, spec.p_c,
-                                              spec.p_h, pt.xi)))
-            for pt in xi_sweep(spec.taus, spec.freqs, spec.cfg)]
-
-
-class PhaseMapSpec(namedtuple("PhaseMapSpec", "freqs ph_values pc_values xi")):
-    """Friction map over reservoir populations at a given xi.
-
-    The sign structure of the friction work does not depend on the stroke
-    duration, so xi enters only as a magnitude.  The grids are kept as
-    tuples, and hold at most MAX_POINTS cells together.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, freqs: CycleFrequencies, ph_values: Sequence[float],
-                pc_values: Sequence[float], xi: float = 0.25):
-        ph_values, pc_values = tuple(ph_values), tuple(pc_values)
-        for name, grid, hi in (("ph", ph_values, 1.0), ("pc", pc_values, 0.5)):
-            if len(grid) < 2:
-                raise DomainError(f"{name} grid must have at least 2 points")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise DomainError(f"{name} grid must be strictly increasing")
-            if grid[0] < 0.0 or grid[-1] > hi:
-                raise DomainError(f"{name} grid must lie in [0, {hi}]")
-        cells = len(ph_values) * len(pc_values)
-        if cells > MAX_POINTS:
-            raise DomainError(
-                f"phase map has {cells} cells, more than {MAX_POINTS}")
-        if not (0.0 <= xi <= 0.5):
-            raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
-        return tuple.__new__(cls, (freqs, ph_values, pc_values, xi))
+    CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
+    return [(pt, cycle_energetics(CycleInputs(freqs, p_c, p_h, pt.xi)))
+            for pt in xi_sweep(taus, freqs, cfg)]
 
 
 class PhaseMapRow(namedtuple("PhaseMapRow",
@@ -167,22 +125,39 @@ def zero_friction_line(ph_values: Sequence[float],
     return [(ph, _zero_friction_pc(ph, freqs)) for ph in ph_values]
 
 
-def run_phase_map(spec: PhaseMapSpec,
+def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
+                  pc_values: Sequence[float], xi: float,
                   threads: int | None = None) -> list[PhaseMapRow]:
-    """Friction work on the (p_h, p_c) grid, row-major in p_h then p_c.
+    """Friction work on the (p_h, p_c) grid at xi, row-major in p_h then p_c.
 
+    The sign structure of the friction work does not depend on the stroke
+    duration, so xi enters only as a magnitude.  Each grid needs at least
+    2 strictly increasing points, p_h in [0, 1] and p_c in [0, 1/2], and
+    the two hold at most MAX_POINTS cells together; xi lies in [0, 1/2].
     w_fric and mode are those of cycle_energetics.  A cell is marked
     on_zero_line when the friction bracket nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)
     is smaller than the grid resolution maps into energy units; the bracket
     is evaluated here because w_fric = xi * bracket loses it at xi = 0.
     """
-    freqs, xi = spec.freqs, spec.xi
+    for name, grid, hi in (("ph", ph_values, 1.0), ("pc", pc_values, 0.5)):
+        if len(grid) < 2:
+            raise DomainError(f"{name} grid must have at least 2 points")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError(f"{name} grid must be strictly increasing")
+        if grid[0] < 0.0 or grid[-1] > hi:
+            raise DomainError(f"{name} grid must lie in [0, {hi}]")
+    count = len(ph_values) * len(pc_values)
+    if count > MAX_POINTS:
+        raise DomainError(
+            f"phase map has {count} cells, more than {MAX_POINTS}")
+    if not (0.0 <= xi <= 0.5):
+        raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
-    d_pc = max(b - a for a, b in zip(spec.pc_values, spec.pc_values[1:]))
-    d_ph = max(b - a for a, b in zip(spec.ph_values, spec.ph_values[1:]))
+    d_pc = max(b - a for a, b in zip(pc_values, pc_values[1:]))
+    d_ph = max(b - a for a, b in zip(ph_values, ph_values[1:]))
     line_tol = nu_h * d_pc + nu_c * d_ph
 
-    cells = [(ph, pc) for ph in spec.ph_values for pc in spec.pc_values]
+    cells = [(ph, pc) for ph in ph_values for pc in pc_values]
 
     def cell(point: tuple[float, float]) -> PhaseMapRow:
         ph, pc = point

@@ -9,6 +9,8 @@ A reservoir is described either by its excited-state population p or by the
 dimensionless exponent u = beta*h*nu; the two are related by p = 1/(e^u + 1),
 and u < 0 (population inversion, p > 1/2) encodes a negative effective
 temperature.  The matrix forms, projectors and Gibbs states, are in verify.
+A stroke duration is a plain float in ms: the integrator that uses it checks
+it (propagator.IntegratorConfig.resolve_steps).
 """
 
 from __future__ import annotations
@@ -40,17 +42,6 @@ class CycleFrequencies(namedtuple("CycleFrequencies", "nu_c nu_h")):
                 f"nu_h must be finite and exceed nu_c, got nu_c={nu_c}, "
                 f"nu_h={nu_h}")
         return tuple.__new__(cls, (nu_c, nu_h))
-
-
-class StrokeDuration(namedtuple("StrokeDuration", "tau")):
-    """Duration of one unitary stroke, in ms, positive and finite."""
-
-    __slots__ = ()
-
-    def __new__(cls, tau: float):
-        if not (0.0 < tau < math.inf):
-            raise DomainError(f"tau must be positive and finite, got {tau}")
-        return tuple.__new__(cls, (tau,))
 
 
 def gibbs_population(u: float) -> float:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from otto_tls import (CycleFrequencies, CycleInputs, IntegratorConfig,
-                      TauSweepSpec, Unitary2, adiabatic_efficiency, cycle_energetics,
+                      Unitary2, adiabatic_efficiency, cycle_energetics,
                       energetics_from_states, evolve_expansion,
                       exponent_from_population, integrate_compression,
                       negative_friction_window, propagate_fixed_steps,
@@ -136,7 +136,8 @@ def test_criterion_6_entropy_production_route():
 def test_criterion_7_negative_temperature_sweep():
     taus = log_spaced(0.01, 1.0, 25)  # ms
 
-    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.4, 0.8, taus))
+    cfg = IntegratorConfig()
+    rows = run_tau_sweep(FREQS, 0.4, 0.8, taus, cfg)
     etas = [en.eta for _, en in rows]
     assert all(en.mode == MODE_ENGINE for _, en in rows)
     assert all(en.q_h > 0 for _, en in rows)
@@ -144,12 +145,12 @@ def test_criterion_7_negative_temperature_sweep():
     assert all(e > ETA_AD for e in etas)
     assert etas[0] == max(etas)
 
-    rows0 = run_tau_sweep(TauSweepSpec(FREQS, 1.0 / 3.0, 0.8, taus))
+    rows0 = run_tau_sweep(FREQS, 1.0 / 3.0, 0.8, taus, cfg)
     assert all(abs(en.w_fric) <= 1e-10 for _, en in rows0)
     w_nets = [en.w_net for _, en in rows0]
     assert max(w_nets) - min(w_nets) <= 1e-9
 
-    rows_p = run_tau_sweep(TauSweepSpec(FREQS, 0.25, 0.8, taus))
+    rows_p = run_tau_sweep(FREQS, 0.25, 0.8, taus, cfg)
     assert all(en.w_fric > 0 for pt, en in rows_p if pt.xi > 1e-12)
     report(7, "p_c=0.4 engine everywhere with eta>eta_ad maximal at short "
               "tau; p_c=1/3 frictionless with constant W_net; p_c=0.25 "
@@ -158,7 +159,7 @@ def test_criterion_7_negative_temperature_sweep():
 
 def test_criterion_8_positive_temperature_sweep():
     taus = log_spaced(0.01, 1.0, 25)  # ms
-    rows = run_tau_sweep(TauSweepSpec(FREQS, 0.2, 0.4, taus))
+    rows = run_tau_sweep(FREQS, 0.2, 0.4, taus, IntegratorConfig())
     assert all(en.w_fric > 0 for pt, en in rows if pt.xi > 1e-12)
     engine = [en.mode == MODE_ENGINE for _, en in rows]
     assert not engine[0] and engine[-1]

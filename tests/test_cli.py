@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import otto_tls
-from otto_tls import (CycleFrequencies, PhaseMapSpec, evolve_expansion,
-                      run_phase_map)
+from otto_tls import CycleFrequencies, evolve_expansion, run_phase_map
 from otto_tls import cli as otto_cli
 from otto_tls.cli import build_parser, main
 from otto_tls.sweep import MAX_POINTS, linear_spaced
@@ -277,9 +276,9 @@ class TestPhaseMap:
         assert code == 0
         _, rows = parse_csv(out)
         freqs = CycleFrequencies(2.0, 3.6)
-        want = run_phase_map(PhaseMapSpec(
+        want = run_phase_map(
             freqs, linear_spaced(0.02, 1.0, 5), linear_spaced(0.02, 0.49, 4),
-            xi=evolve_expansion(0.3, freqs).xi))
+            evolve_expansion(0.3, freqs).xi)
         grid = [r for r in rows if r["series"] == "grid"]
         assert [r["mode"] for r in grid] == [w.mode for w in want]
         assert [float(r["w_fric"]) for r in grid] == pytest.approx(
@@ -405,14 +404,24 @@ class TestErrorsAndVerify:
         ("windows", "--nu-c", "2", "--nu-h", "3.6", "--ph", "0.8",
          "--threads", "2"),
         ("verify", "--quick"),
+        ("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph", "0.8",
+         "--xi", "0.25", "--xi-tol", "1e-300"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--xi", "0.25",
+         "--xi-tol", "5"),
+        ("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--xi-tol", "1e-8"),
     ])
     def test_option_without_effect_rejected(self, argv):
         # --threads belongs to phase-map alone, windows never integrates,
-        # and verify takes no options.
+        # and verify takes no options: the parser does not know them.
+        # cycle and phase-map integrate only with --tau, so they refuse
+        # --xi-tol without it, in one line.
         code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
-        assert "unrecognized arguments" in err
+        if "--xi-tol" in argv and argv[0] != "windows":
+            assert err == "otto-tls: --xi-tol has no effect without --tau\n"
+        else:
+            assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
     def test_unwritable_output_one_line_error(self, tmp_path):
@@ -663,14 +672,13 @@ SMALL_MAP = ["--ph-points", "3", "--pc-points", "3"]
     (["xi", *FREQ_ARGV, "--points", "3"], ["otto_tls.propagator"]),
     (["cycle", *FREQ_ARGV, *POPULATIONS, "--tau", "300"],
      ["otto_tls.propagator"]),
-    (["phase-map", *FREQ_ARGV, "--xi", "0.25", *SMALL_MAP],
-     ["otto_tls.propagator"]),
+    (["phase-map", *FREQ_ARGV, "--xi", "0.25", *SMALL_MAP], []),
     (["phase-map", *FREQ_ARGV, "--tau", "300", *SMALL_MAP],
      ["otto_tls.propagator"]),
 ])
 def test_closed_form_commands_load_no_integrator(argv, loaded):
-    # windows and cycle --xi are closed forms: they load neither the stroke
-    # integrator nor the checking path.  No production command, integrating
+    # windows, cycle --xi and phase-map --xi are closed forms: they load
+    # neither the stroke integrator nor the checking path.  No production command, integrating
     # or not, loads the checking path or the 2x2 matrices it works on.
     modules = ("otto_tls.propagator", "otto_tls.verify", "otto_tls.complex2",
                "cmath")

@@ -1,4 +1,4 @@
-"""The public API: 37 names, each loaded from its home module on first use."""
+"""The public API: 34 names, each loaded from its home module on first use."""
 
 import importlib
 
@@ -15,8 +15,8 @@ def test_each_name_is_its_home_modules_object():
         assert vars(importlib.import_module(home))[name] is obj, name
 
 
-def test_all_lists_37_distinct_names():
-    assert len(otto_tls.__all__) == len(set(otto_tls.__all__)) == 37
+def test_all_lists_34_distinct_names():
+    assert len(otto_tls.__all__) == len(set(otto_tls.__all__)) == 34
 
 
 def test_dir_covers_all():

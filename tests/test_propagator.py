@@ -193,6 +193,16 @@ class TestConvergence:
         with pytest.raises(DomainError):
             evolve_expansion(-1.0, FREQS)
 
+    def test_stroke_duration_positive(self):
+        # resolve_steps and propagate_fixed_steps share one check and one
+        # message.
+        for check in (lambda tau: IntegratorConfig().resolve_steps(tau, FREQS),
+                      lambda tau: propagate_fixed_steps(tau, FREQS, 8)):
+            for tau in (0.0, -1e-3):
+                with pytest.raises(DomainError, match=(
+                        f"^tau must be positive and finite, got {tau}$")):
+                    check(tau)
+
     @pytest.mark.parametrize("tau", [math.inf, math.nan])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(DomainError):

@@ -9,17 +9,17 @@ import pytest
 import otto_tls
 from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       CycleInputs, Density2, DomainError, Hermitian2,
-                      IntegratorConfig, Matrix2, PhaseMapRow, PhaseMapSpec,
-                      PropagatorResult, StrokeDuration, TauSweepSpec,
-                      Unitary2, cycle_energetics, evolve_expansion,
-                      exp_neg_i_h, gibbs_population, gibbs_state,
-                      run_phase_map, run_tau_sweep, xi_sweep)
-from otto_tls.sweep import linear_spaced, log_spaced, tau_grid_us
+                      IntegratorConfig, Matrix2, PhaseMapRow,
+                      PropagatorResult, Unitary2, cycle_energetics,
+                      evolve_expansion, exp_neg_i_h, gibbs_population,
+                      gibbs_state, run_phase_map, run_tau_sweep)
+from otto_tls.sweep import tau_grid_us
 
 FREQS = CycleFrequencies(2.0, 3.6)
 H = Hermitian2(0.3, 0.2 + 0.1j, 0.2 - 0.1j, -0.4)
 U = exp_neg_i_h(H, 0.7)
 INPUTS = CycleInputs(FREQS, 0.4, 0.8, 0.25)
+CFG = IntegratorConfig()
 
 SAMPLES = [
     Matrix2(1.0, 2j, -1.5, 0.5 + 0.5j),
@@ -27,14 +27,11 @@ SAMPLES = [
     U,
     gibbs_state(0.3, "x"),
     FREQS,
-    StrokeDuration(0.3),
     IntegratorConfig(xi_tolerance=1e-8),
     evolve_expansion(0.3, FREQS),
     INPUTS,
     cycle_energetics(INPUTS),
-    TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 3)),
-    PhaseMapSpec(FREQS, [0.0, 1.0], [0.0, 0.5]),
-    run_phase_map(PhaseMapSpec(FREQS, [0.2, 0.8], [0.1, 0.4]), threads=1)[0],
+    run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25, threads=1)[0],
 ]
 RECORDS = pytest.mark.parametrize("rec", SAMPLES,
                                   ids=[type(r).__name__ for r in SAMPLES])
@@ -44,7 +41,7 @@ def test_samples_cover_every_public_record():
     public = {getattr(otto_tls, n) for n in otto_tls.__all__}
     records = {c for c in public if isinstance(c, type) and issubclass(c, tuple)}
     assert records == {type(r) for r in SAMPLES}
-    assert len(records) == 13  # 10 records and the three Matrix2 roles
+    assert len(records) == 10  # 7 records and the three Matrix2 roles
 
 
 RECORD_FIELDS = {
@@ -53,13 +50,10 @@ RECORD_FIELDS = {
     "Unitary2": "a11 a12 a21 a22",
     "Density2": "a11 a12 a21 a22",
     "CycleFrequencies": "nu_c nu_h",
-    "StrokeDuration": "tau",
     "IntegratorConfig": "xi_tolerance",
     "PropagatorResult": "U steps_used xi_error_estimate xi converged",
     "CycleInputs": "freqs p_c p_h xi",
     "CycleEnergetics": "w_exp w_comp q_c q_h w_net w_ad w_fric eta mode",
-    "TauSweepSpec": "freqs p_c p_h taus cfg",
-    "PhaseMapSpec": "freqs ph_values pc_values xi",
     "PhaseMapRow": "p_h p_c w_fric mode on_zero_line",
 }
 
@@ -107,34 +101,6 @@ class TestConstruction:
         assert cfg == IntegratorConfig(1e-8)
         assert cfg.xi_tolerance == 1e-8
 
-    def test_tau_sweep_spec_defaults(self):
-        spec = TauSweepSpec(FREQS, 0.4, 0.8, linear_spaced(0.01, 1.0, 100))
-        grid = spec.taus
-        assert (grid[0], grid[-1], len(grid)) == (0.01, 1.0, 100)
-        assert spec.cfg == IntegratorConfig()
-        assert grid[1] - grid[0] == pytest.approx(grid[-1] - grid[-2])
-
-    def test_phase_map_spec_defaults(self):
-        spec = PhaseMapSpec(FREQS, [0, 1], [0, 0.5])
-        assert spec == (FREQS, (0, 1), (0, 0.5), 0.25)
-
-    def test_tau_sweep_spec_keeps_its_own_grid(self):
-        grid = log_spaced(0.01, 1.0, 3)
-        spec = TauSweepSpec(FREQS, 0.4, 0.8, grid)
-        grid.append(-5.0)  # after the spec checked its grid
-        assert spec.taus == tuple(grid[:3])
-        assert [pt for pt, _ in run_tau_sweep(spec)] == \
-            xi_sweep(grid[:3], FREQS)
-        assert hash(spec) == hash(TauSweepSpec(FREQS, 0.4, 0.8, grid[:3]))
-
-    def test_phase_map_spec_keeps_its_own_grids(self):
-        ph, pc = [0.2, 0.8], [0.1, 0.4]
-        spec = PhaseMapSpec(FREQS, ph, pc)
-        pc.append(0.05)  # after the spec checked its grids
-        assert (spec.ph_values, spec.pc_values) == ((0.2, 0.8), (0.1, 0.4))
-        assert len(run_phase_map(spec)) == 4
-        assert hash(spec) == hash(PhaseMapSpec(FREQS, ph, pc[:2]))
-
     def test_keywords_match_positions(self):
         assert CycleInputs(freqs=FREQS, p_c=0.4, p_h=0.8, xi=0.25) == INPUTS
         assert Matrix2(a11=1.0, a12=0.0, a21=0.0, a22=1.0) == (1, 0, 0, 1)
@@ -149,7 +115,9 @@ class TestConstruction:
         lambda: CycleFrequencies(2.0, 3.6, 4.0),
         lambda: IntegratorConfig(xi_tol=1e-8),
         lambda: PhaseMapRow(0.2, 0.1, 0.5, "engine"),
-        lambda: TauSweepSpec(FREQS, 0.4, 0.8),  # the grid has no default
+        # The sweeps take no default config or xi: the CLI passes both.
+        lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01]),
+        lambda: run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4]),
     ])
     def test_wrong_arguments_rejected(self, build):
         with pytest.raises(TypeError):
@@ -175,9 +143,11 @@ NAN, INF = math.nan, math.inf
     (lambda: CycleFrequencies(NAN, 1.0), DomainError, "nu_c must be positive"),
     (lambda: CycleFrequencies(2.0, 2.0), DomainError, "nu_h must be finite and exceed"),
     (lambda: CycleFrequencies(2.0, INF), DomainError, "nu_h must be finite and exceed"),
-    (lambda: StrokeDuration(0.0), DomainError, "tau must be positive"),
-    (lambda: StrokeDuration(NAN), DomainError, "tau must be positive"),
-    (lambda: StrokeDuration(INF), DomainError,
+    (lambda: CFG.resolve_steps(0.0, FREQS), DomainError,
+     "tau must be positive"),
+    (lambda: CFG.resolve_steps(NAN, FREQS), DomainError,
+     "tau must be positive"),
+    (lambda: CFG.resolve_steps(INF, FREQS), DomainError,
      "tau must be positive and finite"),
     (lambda: gibbs_population(INF), DomainError, "exponent must be finite"),
     (lambda: gibbs_population(NAN), DomainError, "exponent must be finite"),
@@ -195,25 +165,25 @@ NAN, INF = math.nan, math.inf
      "tau_min < tau_max"),
     (lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
      "points must be at least 2"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.1, 0.0]), DomainError,
+    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.1, 0.0], CFG), DomainError,
      "tau must be positive and finite"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.0, 1.0]), DomainError,
+    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.0, 1.0], CFG), DomainError,
      "tau must be positive and finite"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.01, INF]), DomainError,
+    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01, INF], CFG), DomainError,
      "tau must be positive and finite"),
-    (lambda: TauSweepSpec(FREQS, 0.4, 0.8, [0.01, 1e300]), DomainError,
+    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01, 1e300], CFG), DomainError,
      "too long to integrate"),
-    (lambda: TauSweepSpec(FREQS, 1.5, 0.8, [0.01]), DomainError,
+    (lambda: run_tau_sweep(FREQS, 1.5, 0.8, [0.01], CFG), DomainError,
      "p_c must lie"),
-    (lambda: PhaseMapSpec(FREQS, [0.5], [0.1, 0.2]), DomainError,
+    (lambda: run_phase_map(FREQS, [0.5], [0.1, 0.2], 0.25), DomainError,
      "ph grid must have at least 2 points"),
-    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.2, 0.1]), DomainError,
+    (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.2, 0.1], 0.25), DomainError,
      "pc grid must be strictly increasing"),
-    (lambda: PhaseMapSpec(FREQS, [0.5, 1.2], [0.1, 0.2]), DomainError,
+    (lambda: run_phase_map(FREQS, [0.5, 1.2], [0.1, 0.2], 0.25), DomainError,
      "ph grid must lie in"),
-    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [-0.1, 0.2]), DomainError,
+    (lambda: run_phase_map(FREQS, [0.5, 0.6], [-0.1, 0.2], 0.25), DomainError,
      "pc grid must lie in"),
-    (lambda: PhaseMapSpec(FREQS, [0.5, 0.6], [0.1, 0.2], xi=0.7), DomainError,
+    (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], 0.7), DomainError,
      "xi must lie"),
 ])
 def test_validation_errors_fire(build, exc, match):

@@ -5,10 +5,10 @@ import math
 import pytest
 
 from otto_tls import (CycleFrequencies, CycleInputs, DomainError,
-                      IntegratorConfig, PhaseMapSpec, TauSweepSpec,
-                      adiabatic_efficiency, cycle_energetics,
-                      negative_friction_window, run_phase_map, run_tau_sweep,
-                      xi_sweep, zero_friction_line)
+                      IntegratorConfig, adiabatic_efficiency,
+                      cycle_energetics, negative_friction_window,
+                      run_phase_map, run_tau_sweep, xi_sweep,
+                      zero_friction_line)
 from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced
 from otto_tls.thermo import MODE_ENGINE
 
@@ -17,9 +17,8 @@ FAST_CFG = IntegratorConfig(xi_tolerance=1e-8)
 
 
 def sweep(p_c, p_h, points=15):
-    return run_tau_sweep(TauSweepSpec(FREQS, p_c, p_h,
-                                      log_spaced(0.01, 1.0, points),
-                                      FAST_CFG))
+    return run_tau_sweep(FREQS, p_c, p_h, log_spaced(0.01, 1.0, points),
+                         FAST_CFG)
 
 
 class TestGrids:
@@ -38,7 +37,7 @@ class TestGrids:
         with pytest.raises(DomainError):
             log_spaced(10.0, 5.0, 4)
         with pytest.raises(DomainError):
-            TauSweepSpec(FREQS, 0.4, 0.8, [0.1, -0.01])
+            run_tau_sweep(FREQS, 0.4, 0.8, [0.1, -0.01], FAST_CFG)
 
     @pytest.mark.parametrize("spacing", [log_spaced, linear_spaced])
     @pytest.mark.parametrize("lo, hi, bad", [
@@ -97,15 +96,49 @@ class TestTauSweep:
         assert eta_ad - engine[-1].eta < 0.01
 
     def test_rows_in_tau_order_and_deterministic(self):
-        spec = TauSweepSpec(FREQS, 0.4, 0.8, log_spaced(0.01, 1.0, 8),
-                            FAST_CFG)
-        a = run_tau_sweep(spec)
-        b = run_tau_sweep(spec)
-        assert [pt for pt, _ in a] == xi_sweep(spec.taus, FREQS, FAST_CFG)
+        taus = log_spaced(0.01, 1.0, 8)
+        a = run_tau_sweep(FREQS, 0.4, 0.8, taus, FAST_CFG)
+        b = run_tau_sweep(FREQS, 0.4, 0.8, taus, FAST_CFG)
+        assert [pt for pt, _ in a] == xi_sweep(taus, FREQS, FAST_CFG)
         assert [en for _, en in a] == [
             cycle_energetics(CycleInputs(FREQS, 0.4, 0.8, pt.xi))
             for pt, _ in a]
         assert a == b
+
+    def test_grid_may_be_any_sequence(self):
+        # xi_sweep checks the strokes and then integrates them, so it reads
+        # its grid twice; a one-pass iterator gives the same points.
+        taus = log_spaced(0.01, 1.0, 3)
+        want = xi_sweep(taus, FREQS, FAST_CFG)
+        assert xi_sweep(iter(taus), FREQS, FAST_CFG) == want
+        rows = run_tau_sweep(FREQS, 0.4, 0.8, tuple(taus), FAST_CFG)
+        assert [pt for pt, _ in rows] == want
+
+    @pytest.mark.parametrize("last, message", [
+        (1e6, "too long to integrate"),
+        (0.0, "tau must be positive and finite, got 0.0"),
+        (-0.01, "tau must be positive and finite, got -0.01"),
+    ], ids=["too-long", "zero", "negative"])
+    @pytest.mark.parametrize("run", [
+        lambda taus: xi_sweep(taus, FREQS, FAST_CFG),
+        lambda taus: run_tau_sweep(FREQS, 0.4, 0.8, taus, FAST_CFG),
+    ], ids=["xi_sweep", "run_tau_sweep"])
+    def test_bad_last_stroke_refused_before_any_work(self, monkeypatch, run,
+                                                     last, message):
+        import otto_tls.propagator as prop
+
+        kernel, calls = prop._propagate_magnus6, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(prop, "_propagate_magnus6", counted)
+        with pytest.raises(DomainError, match=message):
+            run([0.01, 0.1, last])
+        assert calls == []
+        run([0.01, 0.1])  # the good strokes alone: two passes each
+        assert calls == [0.01, 0.01, 0.1, 0.1]
 
     @pytest.mark.parametrize("p_c, p_h, same_order", [
         (0.4, 0.8, True),    # (p_h - p_c)(p_h + p_c - 1) > 0
@@ -117,7 +150,7 @@ class TestTauSweep:
         # again, so eta(tau) is not monotone; pointwise, the sign of
         # d eta / d xi fixes eta's order to be xi's order or its reverse.
         taus = linear_spaced(0.3, 0.4, 11)
-        rows = run_tau_sweep(TauSweepSpec(FREQS, p_c, p_h, taus))
+        rows = run_tau_sweep(FREQS, p_c, p_h, taus, IntegratorConfig())
         xis = [pt.xi for pt, _ in rows]
         etas = [en.eta for _, en in rows]
         assert all(en.mode == MODE_ENGINE for _, en in rows)
@@ -135,25 +168,24 @@ class TestTauSweep:
 
 
 class TestPhaseMap:
-    def spec(self, xi=0.25):
-        return PhaseMapSpec(FREQS,
-                            ph_values=linear_spaced(0.05, 1.0, 20),
-                            pc_values=linear_spaced(0.05, 0.49, 12),
-                            xi=xi)
+    def rows(self, threads=None):
+        return run_phase_map(FREQS, linear_spaced(0.05, 1.0, 20),
+                             linear_spaced(0.05, 0.49, 12), 0.25,
+                             threads=threads)
 
     def test_no_inversion_no_negative_friction(self):
-        for row in run_phase_map(self.spec()):
+        for row in self.rows():
             if row.p_h <= 0.5:
                 assert row.w_fric >= 0.0
 
     def test_most_negative_in_deep_inversion_corner(self):
-        rows = run_phase_map(self.spec())
+        rows = self.rows()
         most_negative = min(rows, key=lambda r: r.w_fric)
         assert most_negative.p_h == max(r.p_h for r in rows)
         assert most_negative.p_c == max(r.p_c for r in rows)
 
     def test_sign_agrees_with_window(self):
-        for row in run_phase_map(self.spec()):
+        for row in self.rows():
             w = negative_friction_window(row.p_h, FREQS)
             inside = w is not None and w[0] < row.p_c < w[1]
             assert (row.w_fric < 0) == inside
@@ -163,37 +195,41 @@ class TestPhaseMap:
         assert line[0.8] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert line[1.0] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
-    def test_grid_validation(self):
-        with pytest.raises(DomainError):
-            PhaseMapSpec(FREQS, ph_values=[0.5], pc_values=[0.1, 0.2])
-        with pytest.raises(DomainError):
-            PhaseMapSpec(FREQS, ph_values=[0.5, 0.4], pc_values=[0.1, 0.2])
-        with pytest.raises(DomainError):
-            PhaseMapSpec(FREQS, ph_values=[0.5, 0.8], pc_values=[0.1, 0.6])
-        with pytest.raises(DomainError):
-            PhaseMapSpec(FREQS, ph_values=[-0.1, 0.8], pc_values=[0.1, 0.2])
-        with pytest.raises(DomainError):
-            PhaseMapSpec(FREQS, ph_values=[0.5, 0.8], pc_values=[-1e-9, 0.2])
+    def test_grid_validation(self, monkeypatch):
+        for ph, pc in (([0.5], [0.1, 0.2]), ([0.5, 0.4], [0.1, 0.2]),
+                       ([0.5, 0.8], [0.1, 0.6]), ([-0.1, 0.8], [0.1, 0.2]),
+                       ([0.5, 0.8], [-1e-9, 0.2])):
+            with pytest.raises(DomainError):
+                run_phase_map(FREQS, ph, pc, 0.25)
         # At most MAX_POINTS cells: 1000 x 500 is accepted, 1000 x 501 not.
+        # The accepted map's cells are counted, not computed.
         ph = linear_spaced(0.0, 1.0, 1000)
-        assert len(PhaseMapSpec(FREQS, ph, linear_spaced(0.0, 0.5, 500))
-                   .ph_values) == 1000
+        monkeypatch.setattr("otto_tls.sweep._map_ordered",
+                            lambda fn, items, threads: items)
+        assert len(run_phase_map(FREQS, ph, linear_spaced(0.0, 0.5, 500),
+                                 0.25)) == MAX_POINTS
         with pytest.raises(DomainError, match=(
                 f"^phase map has 501000 cells, more than {MAX_POINTS}$")):
-            PhaseMapSpec(FREQS, ph, linear_spaced(0.0, 0.5, 501))
+            run_phase_map(FREQS, ph, linear_spaced(0.0, 0.5, 501), 0.25)
+        monkeypatch.undo()
         # Grids may start at the zero-temperature population p = 0.
-        spec = PhaseMapSpec(FREQS, ph_values=[0.0, 1.0], pc_values=[0.0, 0.5])
-        assert [(r.p_h, r.p_c) for r in run_phase_map(spec)] == \
+        rows = run_phase_map(FREQS, [0.0, 1.0], [0.0, 0.5], 0.25)
+        assert [(r.p_h, r.p_c) for r in rows] == \
                [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
+
+    def test_grids_may_be_any_sequence(self):
+        # run_phase_map reads its grids during the call and keeps none.
+        rows = run_phase_map(FREQS, (0.2, 0.8), (0.1, 0.4), 0.25)
+        assert len(rows) == 4
+        assert rows == run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25)
 
     @pytest.mark.parametrize("xi, equal_cell_mode", [
         (0.0, MODE_ENGINE), (0.25, "not-engine(w_net>=0, q_h<=0)")])
     def test_cells_match_cycle_energetics(self, xi, equal_cell_mode):
         # The grid holds the equal-population cell whose net work at xi = 0
         # is -9e-17, so its mode depends on how w_net is rounded.
-        spec = PhaseMapSpec(FREQS, ph_values=[0.3, 0.48291457286432166, 0.9],
-                            pc_values=[0.1, 0.4829145728643216], xi=xi)
-        rows = run_phase_map(spec, threads=1)
+        rows = run_phase_map(FREQS, [0.3, 0.48291457286432166, 0.9],
+                             [0.1, 0.4829145728643216], xi, threads=1)
         assert len(rows) == 6
         for row in rows:
             en = cycle_energetics(CycleInputs(FREQS, row.p_c, row.p_h, xi))
@@ -201,6 +237,6 @@ class TestPhaseMap:
         assert rows[3].mode == equal_cell_mode
 
     def test_determinism_across_threads(self):
-        a = run_phase_map(self.spec(), threads=1)
-        b = run_phase_map(self.spec(), threads=4)
+        a = self.rows(threads=1)
+        b = self.rows(threads=4)
         assert a == b

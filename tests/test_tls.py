@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otto_tls import (CycleFrequencies, DomainError, StrokeDuration,
-                      exponent_from_population, gibbs_population, gibbs_state,
-                      projector_excited)
+from otto_tls import (CycleFrequencies, DomainError, exponent_from_population,
+                      gibbs_population, gibbs_state, projector_excited)
 
 from conftest import to_numpy
 
@@ -29,10 +28,6 @@ class TestFrequencies:
     def test_non_finite_rejected(self, nu_c, nu_h):
         with pytest.raises(DomainError):
             CycleFrequencies(nu_c, nu_h)
-
-    def test_stroke_duration_positive(self):
-        with pytest.raises(DomainError):
-            StrokeDuration(0.0)
 
 
 class TestProjectors:
