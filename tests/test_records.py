@@ -101,6 +101,20 @@ class TestConstruction:
         assert cfg == IntegratorConfig(1e-8)
         assert cfg.xi_tolerance == 1e-8
 
+    def test_tau_sweep_spec_defaults(self):
+        # No record holds a tau sweep's inputs any more: run_tau_sweep takes
+        # the grid whole and has no default config, so the default
+        # IntegratorConfig must be passed and then matches xi_sweep's.
+        from otto_tls.propagator import xi_sweep
+        from otto_tls.sweep import linear_spaced
+        grid = linear_spaced(0.01, 1.0, 100)
+        assert (grid[0], grid[-1], len(grid)) == (0.01, 1.0, 100)
+        assert grid[1] - grid[0] == pytest.approx(grid[-1] - grid[-2])
+        rows = run_tau_sweep(FREQS, 0.4, 0.8, grid, CFG)
+        assert [pt for pt, _ in rows] == xi_sweep(grid, FREQS)
+        with pytest.raises(TypeError):
+            run_tau_sweep(FREQS, 0.4, 0.8, grid)
+
     def test_keywords_match_positions(self):
         assert CycleInputs(freqs=FREQS, p_c=0.4, p_h=0.8, xi=0.25) == INPUTS
         assert Matrix2(a11=1.0, a12=0.0, a21=0.0, a22=1.0) == (1, 0, 0, 1)
