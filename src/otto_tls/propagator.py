@@ -16,9 +16,6 @@ no stroke integrates more than MAX_STEPS final steps.  Each integration
 returns one PropagatorResult; xi_sweep checks every stroke of its grid
 before it integrates any, then returns one per stroke.
 
-propagate_fixed_steps keeps the second-order exponential-midpoint rule as
-a simple fixed-step reference.
-
 The compression stroke is generated by H_comp(t) = -H_exp(tau - t); its
 time-ordered propagator equals the adjoint of the expansion propagator
 (the reversal of both time and sign turns the ordered product around),
@@ -103,44 +100,6 @@ class PropagatorResult(namedtuple("PropagatorResult",
                                    min(xi, 0.5), converged))
 
 
-def _propagate(tau: float, freqs: CycleFrequencies,
-               steps: int) -> tuple[complex, complex, complex, complex]:
-    """Midpoint-exponential integration of the expansion stroke, unrolled.
-
-    The midpoint Hamiltonian is H/h = c0*I + hx*sx + hy*sy with
-    c0 = r*(cos+sin), (hx, hy) = r*(cos, sin), r = nu(t)/2, so the Bloch
-    radius equals nu/2 and the per-step exponential is three sin/cos pairs.
-    """
-    dt = tau / steps
-    s = 2.0 * math.pi * dt
-    # After factoring out the scalar phase exp(-i*s*c0), each step matrix is
-    # [[a, b], [-conj(b), a]] with a real, and that SU(2)-like form is closed
-    # under products; track only (u, v) of [[u, v], [-conj(v), conj(u)]] and
-    # accumulate the phase angle separately.
-    u = 1.0 + 0j
-    v = 0j
-    total_angle = 0.0
-    quarter_turn = 0.5 * math.pi
-    dnu = freqs.nu_h - freqs.nu_c
-    nu_c = freqs.nu_c
-    cos, sin = math.cos, math.sin
-    for k in range(steps):
-        x = (k + 0.5) / steps  # t / tau, also where tau / steps underflows
-        r = 0.5 * (nu_c + dnu * x)
-        th = quarter_turn * x
-        c = cos(th)
-        sn = sin(th)
-        sr = s * r
-        total_angle += sr * (c + sn)
-        a = cos(sr)
-        msr = sin(sr)
-        b = complex(-msr * sn, -msr * c)  # -i*sin(sr)*(c - i*sn)
-        u, v = a * u - b * v.conjugate(), a * v + b * u.conjugate()
-    phase = complex(cos(total_angle), -sin(total_angle))
-    return (phase * u, phase * v,
-            -phase * v.conjugate(), phase * u.conjugate())
-
-
 _EIGHTH_TURN = complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi))
 
 
@@ -195,9 +154,9 @@ def _propagate_magnus6(tau: float, freqs: CycleFrequencies, steps: int,
     wy2 = -z * delta / 90.0
     wz = z * (1.0 - delta * delta / 60.0)
     wz2 = wz * wz
-    # Same (u, v) form as _propagate, [[u, v], [-conj(v), conj(u)]], with u
-    # and v split into real and imaginary parts: real arithmetic avoids a
-    # complex object per operation.  exp(-i*w.sigma) is
+    # W is tracked as (u, v) of [[u, v], [-conj(v), conj(u)]], with u and v
+    # split into real and imaginary parts: real arithmetic avoids a complex
+    # object per operation.  exp(-i*w.sigma) is
     # [[c - i*d, -f - i*e], [f - i*e, c + i*d]] with c = cos(rho),
     # (e, f, d) = sin(rho)/rho * (w_x, w_y, w_z), rho = |w| > 0.
     ur, ui, vr, vi = 1.0, 0.0, 0.0, 0.0
@@ -300,15 +259,16 @@ def integrate_compression(tau: float, freqs: CycleFrequencies,
 
 def propagate_fixed_steps(tau: float, freqs: CycleFrequencies,
                           steps: int) -> tuple[complex, ...]:
-    """Single exponential-midpoint integration of the expansion stroke.
+    """Expansion-stroke propagator of tau ms in exactly steps Magnus steps.
 
-    The second-order reference, as row-major entries: no doubling, and not
-    the Magnus scheme that evolve_expansion and integrate_compression use.
+    The kernel evolve_expansion runs, without step doubling, as row-major
+    entries.  steps must be an int in [1, MAX_STEPS].
     """
     _check_tau(tau)
-    if steps < 1:
-        raise DomainError("steps must be positive")
-    return _propagate(tau, freqs, steps)
+    if not (isinstance(steps, int) and 1 <= steps <= MAX_STEPS):
+        raise DomainError(
+            f"steps must be an int in [1, {MAX_STEPS}], got {steps!r}")
+    return _propagate_magnus6(tau, freqs, steps, False)
 
 
 def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,

@@ -20,6 +20,45 @@ def to_numpy(m) -> np.ndarray:
     return np.array([[a11, a12], [a21, a22]], dtype=complex)
 
 
+def midpoint_entries(tau: float, freqs: CycleFrequencies,
+                     steps: int) -> tuple[complex, complex, complex, complex]:
+    """Expansion stroke by the second-order exponential-midpoint rule.
+
+    An oracle independent of the package's Magnus kernel: it steps in the
+    lab frame, where the midpoint Hamiltonian is H/h = c0*I + hx*sx + hy*sy
+    with c0 = r*(cos+sin), (hx, hy) = r*(cos, sin), r = nu(t)/2, so each
+    step is three sin/cos pairs.  Returns U's row-major entries.
+    """
+    dt = tau / steps
+    s = 2.0 * math.pi * dt
+    # After factoring out the scalar phase exp(-i*s*c0), each step matrix is
+    # [[a, b], [-conj(b), a]] with a real, and that SU(2)-like form is closed
+    # under products; track only (u, v) of [[u, v], [-conj(v), conj(u)]] and
+    # accumulate the phase angle separately.
+    u = 1.0 + 0j
+    v = 0j
+    total_angle = 0.0
+    quarter_turn = 0.5 * math.pi
+    dnu = freqs.nu_h - freqs.nu_c
+    nu_c = freqs.nu_c
+    cos, sin = math.cos, math.sin
+    for k in range(steps):
+        x = (k + 0.5) / steps  # t / tau, also where tau / steps underflows
+        r = 0.5 * (nu_c + dnu * x)
+        th = quarter_turn * x
+        c = cos(th)
+        sn = sin(th)
+        sr = s * r
+        total_angle += sr * (c + sn)
+        a = cos(sr)
+        msr = sin(sr)
+        b = complex(-msr * sn, -msr * c)  # -i*sin(sr)*(c - i*sn)
+        u, v = a * u - b * v.conjugate(), a * v + b * u.conjugate()
+    phase = complex(cos(total_angle), -sin(total_angle))
+    return (phase * u, phase * v,
+            -phase * v.conjugate(), phase * u.conjugate())
+
+
 def random_hermitian(rng: random.Random, scale: float = 2.0) -> Hermitian2:
     a = rng.uniform(-scale, scale)
     d = rng.uniform(-scale, scale)

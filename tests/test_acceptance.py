@@ -14,13 +14,13 @@ from otto_tls import (CycleFrequencies, CycleInputs, IntegratorConfig,
                       Unitary2, adiabatic_efficiency, cycle_energetics,
                       energetics_from_states, evolve_expansion,
                       exponent_from_population, integrate_compression,
-                      negative_friction_window, propagate_fixed_steps,
-                      run_tau_sweep, transition_probability, xi_sweep)
+                      negative_friction_window, run_tau_sweep,
+                      transition_probability, xi_sweep)
 from otto_tls.sweep import log_spaced
 from otto_tls.thermo import MODE_ENGINE
 from otto_tls.verify import stroke_divergence
 
-from conftest import random_stroke_unitary
+from conftest import midpoint_entries, random_stroke_unitary
 
 FREQS = CycleFrequencies(2.0, 3.6)
 ETA_AD = 1.0 - 2.0 / 3.6
@@ -187,9 +187,9 @@ def test_criterion_10_convergence():
     assert res.xi_error_estimate < 1e-9
 
     tau = 0.3
-    ref = transition_probability(propagate_fixed_steps(tau, FREQS, 1 << 16))
+    ref = transition_probability(midpoint_entries(tau, FREQS, 1 << 16))
     errs = [abs(transition_probability(
-        propagate_fixed_steps(tau, FREQS, 1 << p)) - ref)
+        midpoint_entries(tau, FREQS, 1 << p)) - ref)
         for p in range(7, 12)]
     ratios = [c / f for c, f in zip(errs, errs[1:])]
     for ratio in ratios:

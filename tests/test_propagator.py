@@ -14,7 +14,8 @@ from otto_tls.propagator import _propagate_magnus6
 from otto_tls.sweep import log_spaced
 from otto_tls.tls import KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y
 
-from conftest import random_unitary, stroke_unitary, to_numpy
+from conftest import (midpoint_entries, random_unitary, stroke_unitary,
+                      to_numpy)
 
 FREQS = CycleFrequencies(2.0, 3.6)
 
@@ -144,13 +145,25 @@ class TestConvergence:
     def test_second_order_rate(self):
         # Halving the step cuts the xi error by ~4x over a decade of sizes.
         tau = 0.3
-        ref = transition_probability(propagate_fixed_steps(tau, FREQS, 1 << 16))
+        ref = transition_probability(midpoint_entries(tau, FREQS, 1 << 16))
         errs = []
         for p in range(7, 12):
-            xi = transition_probability(propagate_fixed_steps(tau, FREQS, 1 << p))
+            xi = transition_probability(midpoint_entries(tau, FREQS, 1 << p))
             errs.append(abs(xi - ref))
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.25)
+
+    def test_sixth_order_rate(self):
+        # The shipped kernel through its public fixed-step entry: halving
+        # the step from 8 to 128 steps cuts the xi error by ~64x, where the
+        # error (2e-8 .. 1e-15) stays above rounding.
+        tau = 0.3
+        ref = transition_probability(propagate_fixed_steps(tau, FREQS, 1 << 14))
+        errs = [abs(transition_probability(
+            propagate_fixed_steps(tau, FREQS, 1 << p)) - ref)
+            for p in range(3, 8)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(64.0, rel=0.25)
 
     def test_tolerance_self_consistency(self):
         tau = 0.4
@@ -209,6 +222,16 @@ class TestConvergence:
             evolve_expansion(tau, FREQS)
         with pytest.raises(DomainError):
             propagate_fixed_steps(tau, FREQS, 8)
+
+    def test_fixed_step_count_is_bounded(self, monkeypatch):
+        # Every stroke is capped at MAX_STEPS; a step count that is not an
+        # int in [1, MAX_STEPS] is refused before any step is taken.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 64)
+        assert len(propagate_fixed_steps(0.3, FREQS, 64)) == 4
+        for steps in (2.5, 8.0, "8", None, 0, -1, 65, 2**40):
+            with pytest.raises(DomainError, match=(
+                    rf"^steps must be an int in \[1, 64\], got {steps!r}$")):
+                propagate_fixed_steps(0.3, FREQS, steps)
 
     def test_default_initial_steps(self):
         cfg = IntegratorConfig()
@@ -283,14 +306,16 @@ TAUS_SUDDEN_TO_ADIABATIC = [5e-324, 1e-300, 1e-9, 1e-4, 0.01, 0.1, 0.34,
 
 
 class TestUnitarity:
-    # The propagator builds no Unitary2: each Magnus and midpoint step is an
-    # exact SU(2) rotation, and these tests prove what a construction-time
-    # check used to re-prove on every stroke.
+    # The propagator builds no Unitary2: each Magnus step is an exact SU(2)
+    # rotation, and these tests prove what a construction-time check used to
+    # re-prove on every stroke.  The midpoint oracle is held to the same
+    # standard, from a subnormal tau up.
     @pytest.mark.parametrize("tau", TAUS_SUDDEN_TO_ADIABATIC)
     def test_every_returned_propagator_is_unitary(self, tau):
         results = [evolve_expansion(tau, FREQS).U,
                    integrate_compression(tau, FREQS).U]
-        results += [propagate_fixed_steps(tau, FREQS, steps)
+        results += [integrate(tau, FREQS, steps)
+                    for integrate in (propagate_fixed_steps, midpoint_entries)
                     for steps in (1, 8, 333)]
         for u in results:
             assert len(u) == 4
@@ -317,8 +342,8 @@ class TestUnitarity:
 
 def richardson_midpoint(tau: float, steps: int) -> list[complex]:
     """(4*U_2n - U_n)/3 from the second-order midpoint rule, entrywise."""
-    coarse = propagate_fixed_steps(tau, FREQS, steps)
-    fine = propagate_fixed_steps(tau, FREQS, 2 * steps)
+    coarse = midpoint_entries(tau, FREQS, steps)
+    fine = midpoint_entries(tau, FREQS, 2 * steps)
     return [(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse)]
 
 
