@@ -198,7 +198,7 @@ def transition_probability(u: Sequence[complex]) -> float:
     """Adiabaticity parameter xi = |<+y|U|-x>|^2 of U's row-major entries.
 
     For a unitary U this equals |<-y|U|+x>|^2, so only the first form is
-    evaluated; any four entries are accepted, a Unitary2 among them.
+    evaluated; any four entries are accepted, such as PropagatorResult.U.
     """
     return _xi_raw(*u)
 

@@ -8,7 +8,7 @@ eigenstates of the two stroke endpoints are fixed as
 A reservoir is described either by its excited-state population p or by the
 dimensionless exponent u = beta*h*nu; the two are related by p = 1/(e^u + 1),
 and u < 0 (population inversion, p > 1/2) encodes a negative effective
-temperature.  The matrix forms, projectors and Gibbs states, are in verify.
+temperature.  The projectors and Gibbs states, as entry tuples, are in verify.
 A stroke duration is a plain float in ms: the integrator that uses it checks
 it (propagator.IntegratorConfig.resolve_steps).
 """

@@ -4,8 +4,8 @@ thermo computes every energy and the entropy production in closed form.
 The oracles here reach them a second, independent way, from the density
 matrices of the cycle: energetics_from_states as traces, stroke_divergence
 as the relative entropy of a rotated Gibbs state.  run_suite checks the
-closed forms against them and the integrator against its limits, wrapping
-a stroke's entries PropagatorResult.U as Unitary2 to take adjoints.  Only
+closed forms against them and the integrator against its limits.  Each
+matrix is a tuple of its row-major entries, like PropagatorResult.U.  Only
 `otto-tls verify`, the tests and the benchmark load this module.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 
-from .complex2 import Density2, Hermitian2, Unitary2, exp_neg_i_h
 from .errors import DomainError
 from .propagator import (evolve_expansion, integrate_compression,
                          transition_probability)
@@ -26,12 +25,14 @@ from .tls import CycleFrequencies, exponent_from_population
 _SUPPORT_EIG_TOL = 1e-14
 _SUPPORT_WEIGHT_TOL = 1e-12
 
+Entries = tuple[complex, complex, complex, complex]  # a11, a12, a21, a22
+
 # The two projectors are immutable, so every caller shares one instance.
-_PROJECTOR_X = Hermitian2(0.5, 0.5, 0.5, 0.5)
-_PROJECTOR_Y = Hermitian2(0.5, -0.5j, 0.5j, 0.5)
+_PROJECTOR_X = (0.5, 0.5, 0.5, 0.5)
+_PROJECTOR_Y = (0.5, -0.5j, 0.5j, 0.5)
 
 
-def projector_excited(axis: str) -> Hermitian2:
+def projector_excited(axis: str) -> Entries:
     """Rank-1 projector onto the excited state of the given axis.
 
     axis 'x' projects onto (1, 1)/sqrt(2); axis 'y' onto (1, i)/sqrt(2).
@@ -43,7 +44,7 @@ def projector_excited(axis: str) -> Hermitian2:
     raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def gibbs_state(p: float, axis: str) -> Density2:
+def gibbs_state(p: float, axis: str) -> Entries:
     """Thermal state diagonal in the given axis basis.
 
     rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis;
@@ -51,36 +52,38 @@ def gibbs_state(p: float, axis: str) -> Density2:
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"population must lie in [0, 1], got {p}")
-    proj = projector_excited(axis)
+    a11, a12, a21, a22 = projector_excited(axis)
     # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
     w = 2.0 * p - 1.0
-    return Density2(
-        (1.0 - p) + w * proj.a11, w * proj.a12,
-        w * proj.a21, (1.0 - p) + w * proj.a22,
-    )
+    return (1.0 - p) + w * a11, w * a12, w * a21, (1.0 - p) + w * a22
 
 
-def _trace_product(a, b) -> float:
+def _adjoint(a: Entries) -> Entries:
+    """Row-major entries of a^dag."""
+    a11, a12, a21, a22 = a
+    return a11.conjugate(), a21.conjugate(), a12.conjugate(), a22.conjugate()
+
+
+def _trace_product(a: Entries, b: Entries) -> float:
     """Re tr(a b), on the row-major entries of two 2x2 matrices."""
     a11, a12, a21, a22 = a
     b11, b12, b21, b22 = b
     return (a11 * b11 + a12 * b21 + a21 * b12 + a22 * b22).real
 
 
-def _rotated(a, rho) -> tuple[complex, complex, complex, complex]:
+def _rotated(a: Entries, rho: Entries) -> Entries:
     """Row-major entries of a rho a^dag for 2x2 matrices given as entries."""
     a11, a12, a21, a22 = a
     r11, r12, r21, r22 = rho
-    # b = a rho, then (b a^dag)_ij = sum_k b_ik conj(a_jk).
+    # b = a rho, then b d with d = a^dag.
     b11, b12 = a11 * r11 + a12 * r21, a11 * r12 + a12 * r22
     b21, b22 = a21 * r11 + a22 * r21, a21 * r12 + a22 * r22
-    c11, c12, c21, c22 = (a11.conjugate(), a12.conjugate(),
-                          a21.conjugate(), a22.conjugate())
-    return (b11 * c11 + b12 * c12, b11 * c21 + b12 * c22,
-            b21 * c11 + b22 * c12, b21 * c21 + b22 * c22)
+    d11, d12, d21, d22 = _adjoint(a)
+    return (b11 * d11 + b12 * d21, b11 * d12 + b12 * d22,
+            b21 * d11 + b22 * d21, b21 * d12 + b22 * d22)
 
 
-def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
+def energetics_from_states(p_c: float, p_h: float, u: Entries,
                            freqs: CycleFrequencies) -> CycleEnergetics:
     """Stage energies from density-matrix traces (Alicki definitions).
 
@@ -91,19 +94,14 @@ def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
     Serves as the independent oracle for cycle_energetics with xi read off
     the same unitary.
     """
-    p_x = projector_excited("x")
-    p_y = projector_excited("y")
     rho1 = gibbs_state(p_c, "x")
     rho3 = gibbs_state(p_h, "y")
-    u11, u12, u21, u22 = u
-    u_dag = (u11.conjugate(), u21.conjugate(), u12.conjugate(),
-             u22.conjugate())
 
     # e_k = tr(H rho_k), the energy at cycle stage k, with H = nu * P.
-    e1 = freqs.nu_c * _trace_product(p_x, rho1)
-    e2 = freqs.nu_h * _trace_product(p_y, _rotated(u, rho1))
-    e3 = freqs.nu_h * _trace_product(p_y, rho3)
-    e4 = freqs.nu_c * _trace_product(p_x, _rotated(u_dag, rho3))
+    e1 = freqs.nu_c * _trace_product(_PROJECTOR_X, rho1)
+    e2 = freqs.nu_h * _trace_product(_PROJECTOR_Y, _rotated(u, rho1))
+    e3 = freqs.nu_h * _trace_product(_PROJECTOR_Y, rho3)
+    e4 = freqs.nu_c * _trace_product(_PROJECTOR_X, _rotated(_adjoint(u), rho3))
     w_exp = e2 - e1
     w_comp = e4 - e3
     q_c = e1 - e4
@@ -118,13 +116,13 @@ def energetics_from_states(p_c: float, p_h: float, u: Unitary2,
                            eta, mode)
 
 
-def _bloch(m: Density2) -> tuple[float, float, float]:
+def _bloch(m: Entries) -> tuple[float, float, float]:
     """Bloch vector r of m = (I + r.sigma)/2, read off the entries."""
     a11, a12, _, a22 = m
     return 2.0 * a12.real, -2.0 * a12.imag, (a11 - a22).real
 
 
-def relative_entropy(rho: Density2, sigma: Density2) -> float:
+def relative_entropy(rho: Entries, sigma: Entries) -> float:
     """Quantum relative entropy D(rho||sigma) in nats, in closed Bloch form.
 
     With rho = (I + r.sigma)/2 and sigma = (I + s.sigma)/2,
@@ -157,21 +155,22 @@ def relative_entropy(rho: Density2, sigma: Density2) -> float:
     return d - w_lo * math.log(mu_lo)
 
 
-def stroke_divergence(p: float, u: Unitary2,
+def stroke_divergence(p: float, u: Entries,
                       compression: bool = False) -> float:
     """D(rho_final || rho_quasistatic) of one stroke in nats, by matrices.
 
     The Gibbs state of population p at the stroke's initial endpoint,
     rotated to U rho U^dag (U^dag rho U for the compression), against the
     state of population p in the final endpoint's eigenbasis: the
-    independent oracle for thermo.entropy_production.
+    independent oracle for thermo.entropy_production.  Its floor: gibbs_state
+    keeps p only as 2p - 1, so the error grows as 1e-17 / p at small p.
     """
     if compression:
-        axis_init, axis_final, rotation = "y", "x", u.adjoint()
+        axis_init, axis_final, rotation = "y", "x", _adjoint(u)
     else:
         axis_init, axis_final, rotation = "x", "y", u
-    rho_final = Density2(*_rotated(rotation, gibbs_state(p, axis_init)))
-    return relative_entropy(rho_final, gibbs_state(p, axis_final))
+    return relative_entropy(_rotated(rotation, gibbs_state(p, axis_init)),
+                            gibbs_state(p, axis_final))
 
 
 def run_suite() -> tuple[int, list[str]]:
@@ -183,14 +182,15 @@ def run_suite() -> tuple[int, list[str]]:
     def check(name: str, ok: bool) -> None:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}\n")
 
-    def random_unitary():
-        # Rejection-sampled so xi stays in its physical range [0, 1/2].
+    def random_unitary() -> Entries:
+        # Haar-random on U(2), rejection-sampled to xi <= 1/2.
         while True:
-            a = rng.uniform(-2.0, 2.0)
-            d = rng.uniform(-2.0, 2.0)
-            b = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-            u = exp_neg_i_h(Hermitian2(a, b, b.conjugate(), d),
-                            rng.uniform(0.0, 2.0))
+            a = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+            b = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            norm = math.hypot(abs(a), abs(b))
+            e = complex(math.cos(phi), math.sin(phi)) / norm
+            u = e * a, -e * b.conjugate(), e * b, e * a.conjugate()
             if transition_probability(u) <= 0.5:
                 return u
 
@@ -233,9 +233,9 @@ def run_suite() -> tuple[int, list[str]]:
 
     ok_adj = True
     for tau in [0.02, 0.1, 0.3, 0.6, 1.0]:
-        ue = Unitary2(*evolve_expansion(tau, freqs).U)
-        uc = Unitary2(*integrate_compression(tau, freqs).U)
-        ok_adj &= (uc - ue.adjoint()).max_abs() <= 1e-9
+        ue_dag = _adjoint(evolve_expansion(tau, freqs).U)
+        uc = integrate_compression(tau, freqs).U
+        ok_adj &= max(abs(a - b) for a, b in zip(uc, ue_dag)) <= 1e-9
     check("compression propagator = adjoint of expansion", ok_adj)
 
     xi_fast = evolve_expansion(1e-4, freqs).xi

@@ -675,11 +675,13 @@ SMALL_MAP = ["--ph-points", "3", "--pc-points", "3"]
     (["phase-map", *FREQ_ARGV, "--xi", "0.25", *SMALL_MAP], []),
     (["phase-map", *FREQ_ARGV, "--tau", "300", *SMALL_MAP],
      ["otto_tls.propagator"]),
+    (["verify"], ["otto_tls.propagator", "otto_tls.verify"]),
 ])
 def test_closed_form_commands_load_no_integrator(argv, loaded):
     # windows, cycle --xi and phase-map --xi are closed forms: they load
-    # neither the stroke integrator nor the checking path.  No production command, integrating
-    # or not, loads the checking path or the 2x2 matrices it works on.
+    # neither the stroke integrator nor the checking path.  No production
+    # command, integrating or not, loads the checking path, and no command,
+    # verify included, loads complex2 or the cmath it imports.
     modules = ("otto_tls.propagator", "otto_tls.verify", "otto_tls.complex2",
                "cmath")
     code = f"""

@@ -132,8 +132,8 @@ class TestClosedFormChecks:
         for name in ("__matmul__", "adjoint", "__sub__"):
             monkeypatch.setattr(Matrix2, name, refuse)
         Unitary2(*u)
-        gibbs_state(0.3, "y")
-        projector_excited("x")
+        Density2(*gibbs_state(0.3, "y"))
+        Hermitian2(*projector_excited("x"))
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_projectors_are_shared(self, axis):

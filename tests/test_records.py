@@ -25,7 +25,7 @@ SAMPLES = [
     Matrix2(1.0, 2j, -1.5, 0.5 + 0.5j),
     H,
     U,
-    gibbs_state(0.3, "x"),
+    Density2(*gibbs_state(0.3, "x")),  # gibbs_state returns plain entries
     FREQS,
     IntegratorConfig(xi_tolerance=1e-8),
     evolve_expansion(0.3, FREQS),

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otto_tls import (CycleFrequencies, DomainError, exponent_from_population,
-                      gibbs_population, gibbs_state, projector_excited)
+from otto_tls import (CycleFrequencies, Density2, DomainError, Hermitian2,
+                      exponent_from_population, gibbs_population, gibbs_state,
+                      projector_excited)
 
 from conftest import to_numpy
 
@@ -32,16 +33,14 @@ class TestFrequencies:
 
 class TestProjectors:
     def test_axis_x(self):
-        p = projector_excited("x")
-        assert p.entries() == (0.5, 0.5, 0.5, 0.5)
+        assert projector_excited("x") == (0.5, 0.5, 0.5, 0.5)
 
     def test_axis_y(self):
-        p = projector_excited("y")
-        assert p.entries() == (0.5, -0.5j, 0.5j, 0.5)
+        assert projector_excited("y") == (0.5, -0.5j, 0.5j, 0.5)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_idempotent_unit_trace(self, axis):
-        p = projector_excited(axis)
+        p = Hermitian2(*projector_excited(axis))
         assert ((p @ p) - p).max_abs() < 1e-15
         assert abs(p.a11 + p.a22 - 1.0) < 1e-15
 
@@ -91,8 +90,8 @@ class TestGibbs:
 
 class TestGibbsState:
     def test_maximally_mixed(self):
-        rho = gibbs_state(0.5, "x")
-        assert (rho - gibbs_state(0.5, "y")).max_abs() < 1e-15
+        rho = Density2(*gibbs_state(0.5, "x"))
+        assert (rho - Density2(*gibbs_state(0.5, "y"))).max_abs() < 1e-15
         assert rho.a11 == pytest.approx(0.5) and rho.a12 == 0.0
 
     def test_inverted_y_state_spectrum(self):
