@@ -18,14 +18,14 @@ __version__ = "0.1.0"
 _HOMES = {
     "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h",
     "errors": "OttoError ConstraintViolation DomainError ConvergenceError",
-    "tls": "CycleFrequencies gibbs_population exponent_from_population",
     "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
                   "integrate_compression propagate_fixed_steps "
                   "transition_probability xi_sweep",
-    "thermo": "CycleInputs CycleEnergetics cycle_energetics "
+    "thermo": "CycleFrequencies gibbs_population exponent_from_population "
+              "CycleInputs CycleEnergetics cycle_energetics "
               "entropy_production negative_friction_window "
-              "hot_population_window adiabatic_efficiency",
-    "sweep": "PhaseMapRow run_tau_sweep run_phase_map zero_friction_line",
+              "hot_population_window adiabatic_efficiency zero_friction_pc",
+    "sweep": "PhaseMapRow run_tau_sweep run_phase_map",
     "verify": "energetics_from_states relative_entropy gibbs_state "
               "projector_excited",
 }

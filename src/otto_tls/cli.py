@@ -4,7 +4,8 @@ Subcommands:
   xi         transition probability versus stroke duration
   cycle      single-cycle energetics for given populations and xi (or tau)
   tau-sweep  full cycle energetics versus stroke duration
-  phase-map  friction work over the (p_h, p_c) population grid
+  phase-map  friction work over the (p_h, p_c) population grid, and the
+             zero-friction line p_c(p_h) of thermo.zero_friction_pc
   windows    negative-friction population intervals
   verify     the self-check suite of otto_tls.verify (exit 0 on pass)
 
@@ -127,7 +128,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
 
 
 def _populations(args) -> tuple[float, float]:
-    from .tls import gibbs_population
+    from .thermo import gibbs_population
 
     p_c = args.pc if args.pc is not None else gibbs_population(args.uc)
     p_h = args.ph if args.ph is not None else gibbs_population(args.uh)
@@ -168,12 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transition probability (default 0.25)")
     g.add_argument("--tau", type=float,
                    help="stroke duration in us from which xi is computed once")
-    p.add_argument("--ph-min", type=float, default=0.02)
-    p.add_argument("--ph-max", type=float, default=1.0)
-    p.add_argument("--ph-points", type=int, default=50)
-    p.add_argument("--pc-min", type=float, default=0.02)
-    p.add_argument("--pc-max", type=float, default=0.49)
-    p.add_argument("--pc-points", type=int, default=50)
+    p.add_argument("--ph-min", type=float, default=0.02,
+                   help="smallest hot population, in [0, 1] (default 0.02)")
+    p.add_argument("--ph-max", type=float, default=1.0,
+                   help="largest hot population, in [0, 1] (default 1)")
+    p.add_argument("--ph-points", type=int, default=50,
+                   help="number of hot populations, at least 2 (default 50)")
+    p.add_argument("--pc-min", type=float, default=0.02,
+                   help="smallest cold population, in [0, 1/2] (default 0.02)")
+    p.add_argument("--pc-max", type=float, default=0.49,
+                   help="largest cold population, in [0, 1/2] (default 0.49)")
+    p.add_argument("--pc-points", type=int, default=50,
+                   help="number of cold populations, at least 2 (default 50)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads for the map cells (default: cpu count)")
     _add_common_args(p)
@@ -231,7 +238,7 @@ def _unconverged(points) -> int | str:
 
 def _cmd_xi(args) -> tuple:
     from .propagator import xi_sweep
-    from .tls import CycleFrequencies
+    from .thermo import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     taus_us, taus, cfg = _tau_grid(args)
@@ -243,8 +250,8 @@ def _cmd_xi(args) -> tuple:
 
 
 def _cmd_cycle(args) -> tuple:
-    from .thermo import CycleInputs, adiabatic_efficiency, cycle_energetics
-    from .tls import CycleFrequencies
+    from .thermo import (CycleFrequencies, CycleInputs, adiabatic_efficiency,
+                         cycle_energetics)
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
@@ -264,7 +271,7 @@ def _cmd_cycle(args) -> tuple:
 
 def _cmd_tau_sweep(args) -> tuple:
     from .sweep import run_tau_sweep
-    from .tls import CycleFrequencies
+    from .thermo import CycleFrequencies
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
@@ -279,8 +286,8 @@ def _cmd_tau_sweep(args) -> tuple:
 
 
 def _cmd_phase_map(args) -> tuple:
-    from .sweep import linear_spaced, run_phase_map, zero_friction_line
-    from .tls import CycleFrequencies
+    from .sweep import linear_spaced, run_phase_map
+    from .thermo import CycleFrequencies, zero_friction_pc
 
     cpus = os.cpu_count() or 1
     if args.threads is not None and not 1 <= args.threads <= cpus:
@@ -292,17 +299,17 @@ def _cmd_phase_map(args) -> tuple:
     pc_values = linear_spaced(args.pc_min, args.pc_max, args.pc_points)
     rows = run_phase_map(freqs, ph_values, pc_values, _xi(args, freqs),
                          threads=args.threads)
-    line = zero_friction_line(ph_values, freqs)
     out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
            for r in rows]
-    out += [("zero_line", ph, pc, 0.0, "", "") for ph, pc in line]
+    out += [("zero_line", ph, zero_friction_pc(ph, freqs), 0.0, "", "")
+            for ph in ph_values]
     return 0, _csv(["series", "p_h", "p_c", "w_fric", "mode", "on_zero_line"],
                    out)
 
 
 def _cmd_windows(args) -> tuple:
-    from .thermo import hot_population_window, negative_friction_window
-    from .tls import CycleFrequencies
+    from .thermo import (CycleFrequencies, hot_population_window,
+                         negative_friction_window)
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     if args.ph is None and args.pc is None:

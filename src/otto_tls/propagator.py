@@ -14,7 +14,9 @@ step count is doubled until the adiabaticity parameter xi - the only scalar
 consumed downstream - is self-consistent to the configured tolerance, and
 no stroke integrates more than MAX_STEPS final steps.  Each integration
 returns one PropagatorResult; xi_sweep checks every stroke of its grid
-before it integrates any, then returns one per stroke.
+before it integrates any, then returns one per stroke.  xi is read from
+U's four entries directly, and CycleFrequencies, from thermo, appears only
+in annotations: importing the integrator loads no model module.
 
 The compression stroke is generated by H_comp(t) = -H_exp(tau - t); its
 time-ordered propagator equals the adjoint of the expansion propagator
@@ -29,7 +31,10 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import ConvergenceError, DomainError
-from .tls import KET_MINUS_X, KET_PLUS_Y, CycleFrequencies
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # the integrator loads no model module
+    from .thermo import CycleFrequencies
 
 XI_MAX_SLACK = 1e-9
 # The most final steps of one stroke; with the discarded coarser passes a
@@ -186,21 +191,23 @@ def _propagate_magnus6(tau: float, freqs: CycleFrequencies, steps: int,
             -phase * v.conjugate(), phase * u.conjugate())
 
 
-def _xi_raw(u11: complex, u12: complex, u21: complex, u22: complex) -> float:
-    """|<+y|U|-x>|^2 from the four entries of U, row-major."""
-    w1 = (u11 * KET_MINUS_X[0] + u12 * KET_MINUS_X[1])
-    w2 = (u21 * KET_MINUS_X[0] + u22 * KET_MINUS_X[1])
-    amp = KET_PLUS_Y[0].conjugate() * w1 + KET_PLUS_Y[1].conjugate() * w2
-    return abs(amp) ** 2
+_S2 = 1.0 / math.sqrt(2.0)
 
 
 def transition_probability(u: Sequence[complex]) -> float:
     """Adiabaticity parameter xi = |<+y|U|-x>|^2 of U's row-major entries.
 
-    For a unitary U this equals |<-y|U|+x>|^2, so only the first form is
+    The excited eigenstates of the two stroke endpoints are
+    |+x> = (1, 1)/sqrt(2) and |+y> = (1, i)/sqrt(2), and |-x>, |-y> their
+    orthogonal partners; the amplitude is read from the entries directly.
+    For a unitary U xi equals |<-y|U|+x>|^2, so only the first form is
     evaluated; any four entries are accepted, such as PropagatorResult.U.
     """
-    return _xi_raw(*u)
+    u11, u12, u21, u22 = u
+    w1 = u11 * _S2 - u12 * _S2  # U|-x>
+    w2 = u21 * _S2 - u22 * _S2
+    amp = _S2 * w1 - 1j * _S2 * w2
+    return abs(amp) ** 2
 
 
 def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
@@ -213,13 +220,15 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
     would exceed MAX_STEPS.
     """
     def xi_of(raw):
-        if compression:
-            # xi for the compression propagator V is |<+x|V|-y>|^2, the
-            # adjoint-mirrored element of the expansion form.
-            u11, u12, u21, u22 = raw
-            raw = (u11.conjugate(), u21.conjugate(),
-                   u12.conjugate(), u22.conjugate())
-        return _xi_raw(*raw)
+        if not compression:
+            return transition_probability(raw)
+        # xi for the compression propagator V is |<+x|V|-y>|^2, the
+        # adjoint-mirrored element of the expansion form.
+        v11, v12, v21, v22 = raw
+        w1 = v11 * _S2 - v21 * _S2
+        w2 = v12 * _S2 - v22 * _S2
+        amp = _S2 * w1 + 1j * _S2 * w2
+        return abs(amp) ** 2
 
     n = cfg.resolve_steps(tau, freqs)
     raw = _propagate_magnus6(tau, freqs, n, compression)

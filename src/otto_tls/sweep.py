@@ -7,12 +7,13 @@ populations, leaving the strokes to propagator.xi_sweep, the loop behind
 the xi(tau) curve, which checks every tau before it integrates any;
 run_phase_map its grids and xi.  run_tau_sweep pairs each PropagatorResult
 with its CycleEnergetics; the phase map takes xi as given and loads no
-integrator.  Every energy comes from thermo.cycle_energetics: a tau-sweep
-point and a phase-map cell at the same (p_c, p_h, xi) report the same
-friction work and mode.  Sweep points are independent pure computations,
-evaluated in input order.  Only the phase map may run its cells on a
-thread pool (threads); it assembles them in input order, so its output is
-bitwise deterministic whatever the thread count.  The tau loop is serial:
+integrator, and its zero-friction line is thermo.zero_friction_pc.  Every
+energy comes from thermo.cycle_energetics: a tau-sweep point and a
+phase-map cell at the same (p_c, p_h, xi) report the same friction work
+and mode.  Sweep points are independent pure computations, evaluated in
+input order.  Only the phase map may run its cells on a thread pool
+(threads); it assembles them in input order, so its output is bitwise
+deterministic whatever the thread count.  The tau loop is serial:
 its per-point work is pure Python that holds the interpreter lock, and a
 pool measured slower.
 """
@@ -25,9 +26,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError
-from .thermo import (CycleEnergetics, CycleInputs, _zero_friction_pc,
+from .thermo import (CycleEnergetics, CycleFrequencies, CycleInputs,
                      cycle_energetics)
-from .tls import CycleFrequencies
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # run_tau_sweep imports propagator when it runs
@@ -117,12 +117,6 @@ def run_tau_sweep(freqs: CycleFrequencies, p_c: float, p_h: float,
 class PhaseMapRow(namedtuple("PhaseMapRow",
                              "p_h p_c w_fric mode on_zero_line")):
     __slots__ = ()
-
-
-def zero_friction_line(ph_values: Sequence[float],
-                       freqs: CycleFrequencies) -> list[tuple[float, float]]:
-    """Analytic zero-friction curve p_c(p_h) = (1/2)(1 + (1-2p_h) nu_c/nu_h)."""
-    return [(ph, _zero_friction_pc(ph, freqs)) for ph in ph_values]
 
 
 def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],

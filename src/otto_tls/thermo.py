@@ -1,6 +1,12 @@
-"""Closed-form cycle energetics, entropy production and operating windows.
+"""The cycle model: its frequencies and reservoirs, and closed-form energetics.
 
-All energies are in units of h*kHz.  With p_c, p_h the excited-state
+Energies are in units of h*kHz (Planck's constant never appears
+numerically), times in ms and frequencies in kHz.  CycleFrequencies holds
+the two endpoint frequencies.  A reservoir is given either by its
+excited-state population p or by the dimensionless exponent u = beta*h*nu;
+gibbs_population and exponent_from_population map one to the other through
+p = 1/(e^u + 1), and u < 0 (population inversion, p > 1/2) encodes a
+negative effective temperature.  With p_c, p_h the excited-state
 populations after the cooling/heating strokes and xi the stroke transition
 probability, the four stage energies are
 
@@ -50,12 +56,50 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .tls import CycleFrequencies, exponent_from_population
 
 MODE_ENGINE = "engine"
 MODE_NO_WORK = "not-engine(w_net>=0)"
 MODE_NO_HEAT = "not-engine(q_h<=0)"
 MODE_NEITHER = "not-engine(w_net>=0, q_h<=0)"
+
+
+class CycleFrequencies(namedtuple("CycleFrequencies", "nu_c nu_h")):
+    """Cold and hot endpoint frequencies in kHz, finite, with nu_h > nu_c > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, nu_c: float, nu_h: float):
+        if not (0.0 < nu_c < math.inf):
+            raise DomainError(f"nu_c must be positive and finite, got {nu_c}")
+        if not (nu_c < nu_h < math.inf):
+            raise DomainError(
+                f"nu_h must be finite and exceed nu_c, got nu_c={nu_c}, "
+                f"nu_h={nu_h}")
+        return tuple.__new__(cls, (nu_c, nu_h))
+
+
+def gibbs_population(u: float) -> float:
+    """Excited-state population p = 1/(e^u + 1) of a thermal two-level system.
+
+    Stable for large |u|: evaluates the exponential of -|u| only.
+    """
+    if not math.isfinite(u):
+        raise DomainError(f"exponent must be finite, got {u}")
+    if u >= 0.0:
+        e = math.exp(-u)
+        return e / (1.0 + e)
+    return 1.0 / (math.exp(u) + 1.0)
+
+
+def exponent_from_population(p: float) -> float:
+    """Inverse of gibbs_population: u = ln((1-p)/p).
+
+    Positive for p < 1/2 (positive temperature), negative for p > 1/2
+    (population inversion / negative temperature), zero at p = 1/2.
+    """
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"population must lie in (0, 1), got {p}")
+    return math.log1p(-p) - math.log(p)
 
 
 class CycleInputs(namedtuple("CycleInputs", "freqs p_c p_h xi")):
@@ -160,7 +204,7 @@ def entropy_production(p: float, xi: float) -> float:
     return xi * (1.0 - 2.0 * p) * exponent_from_population(p)
 
 
-def _zero_friction_pc(p_h: float, freqs: CycleFrequencies) -> float:
+def zero_friction_pc(p_h: float, freqs: CycleFrequencies) -> float:
     """Cold population p_c* = (1/2)(1 + (1 - 2 p_h) nu_c/nu_h) of W_fric = 0."""
     return 0.5 * (1.0 + (1.0 - 2.0 * p_h) * (freqs.nu_c / freqs.nu_h))
 
@@ -174,7 +218,7 @@ def negative_friction_window(
     """
     if not (0.0 <= p_h <= 1.0):
         raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
-    lower = _zero_friction_pc(p_h, freqs)
+    lower = zero_friction_pc(p_h, freqs)
     if lower >= 0.5:
         return None
     return (lower, 0.5)

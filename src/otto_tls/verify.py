@@ -17,10 +17,10 @@ import random
 from .errors import DomainError
 from .propagator import (evolve_expansion, integrate_compression,
                          transition_probability)
-from .thermo import (MODE_ENGINE, CycleEnergetics, CycleInputs, _classify,
-                     cycle_energetics, entropy_production,
+from .thermo import (MODE_ENGINE, CycleEnergetics, CycleFrequencies,
+                     CycleInputs, _classify, cycle_energetics,
+                     entropy_production, exponent_from_population,
                      negative_friction_window)
-from .tls import CycleFrequencies, exponent_from_population
 
 _SUPPORT_EIG_TOL = 1e-14
 _SUPPORT_WEIGHT_TOL = 1e-12

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from otto_tls import CycleFrequencies, Hermitian2, Unitary2, exp_neg_i_h
-from otto_tls.tls import KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y
+
+# Excited / ground eigenstates of the two stroke endpoint Hamiltonians, the
+# oracle kets of the transition probability xi = |<+y|U|-x>|^2.
+_S2 = 1.0 / math.sqrt(2.0)
+KET_PLUS_X = (_S2 + 0j, _S2 + 0j)
+KET_MINUS_X = (_S2 + 0j, -_S2 + 0j)
+KET_PLUS_Y = (_S2 + 0j, 1j * _S2)
+KET_MINUS_Y = (_S2 + 0j, -1j * _S2)
 
 
 @pytest.fixture

@@ -638,9 +638,10 @@ def test_startup_imports_stay_lean():
     # -S skips site, whose .pth files may import typing or random
     # themselves and hide a regression here.  A bare import loads no
     # submodule; --version, --help and a usage error load none of the
-    # numeric modules.
+    # numeric modules.  The integrator loads no model module: it reads xi
+    # from U's entries, and CycleFrequencies is only its annotation.
     modules = ("dataclasses", "inspect", "typing", "random",
-               "concurrent.futures", "otto_tls.complex2", "otto_tls.tls",
+               "concurrent.futures", "otto_tls.complex2",
                "otto_tls.propagator", "otto_tls.thermo", "otto_tls.sweep")
     code = f"""
 import contextlib, io, sys
@@ -652,11 +653,17 @@ for argv in (["--version"], ["--help"], ["tau-sweep"]):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     print(code, [m for m in {modules!r} if m in sys.modules])
+for m in [m for m in sys.modules if m.startswith("otto_tls")]:
+    del sys.modules[m]
+import otto_tls.propagator
+print(sorted(m for m in sys.modules if m.startswith("otto_tls")))
 """
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 []", "0 []", "2 []"]
+    assert proc.stdout.splitlines() == [
+        "[]", "0 []", "0 []", "2 []",
+        "['otto_tls', 'otto_tls.errors', 'otto_tls.propagator']"]
 
 
 FREQ_ARGV = ["--nu-c", "2", "--nu-h", "3.6"]

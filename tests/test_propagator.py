@@ -12,9 +12,9 @@ from otto_tls import (ConvergenceError, CycleFrequencies, DomainError,
                       propagate_fixed_steps, transition_probability, xi_sweep)
 from otto_tls.propagator import _propagate_magnus6
 from otto_tls.sweep import log_spaced
-from otto_tls.tls import KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y
 
-from conftest import (midpoint_entries, random_unitary, stroke_unitary,
+from conftest import (KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y,
+                      midpoint_entries, random_unitary, stroke_unitary,
                       to_numpy)
 
 FREQS = CycleFrequencies(2.0, 3.6)

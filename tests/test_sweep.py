@@ -8,7 +8,7 @@ from otto_tls import (CycleFrequencies, CycleInputs, DomainError,
                       IntegratorConfig, adiabatic_efficiency,
                       cycle_energetics, negative_friction_window,
                       run_phase_map, run_tau_sweep, xi_sweep,
-                      zero_friction_line)
+                      zero_friction_pc)
 from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced
 from otto_tls.thermo import MODE_ENGINE
 
@@ -74,7 +74,9 @@ class TestTauSweep:
         assert rows[0][1].eta == max(en.eta for _, en in rows)
 
     def test_zero_friction_line_population(self):
-        rows = sweep(1.0 / 3.0, 0.8)
+        p_c = zero_friction_pc(0.8, FREQS)
+        assert p_c == pytest.approx(1.0 / 3.0, abs=1e-12)
+        rows = sweep(p_c, 0.8)
         w_nets = [en.w_net for _, en in rows]
         for _, en in rows:
             assert abs(en.w_fric) < 1e-10
@@ -191,9 +193,10 @@ class TestPhaseMap:
             assert (row.w_fric < 0) == inside
 
     def test_zero_line_through_reference_point(self):
-        line = dict(zero_friction_line([0.8, 1.0], FREQS))
-        assert line[0.8] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert line[1.0] == pytest.approx(2.0 / 9.0, abs=1e-12)
+        assert zero_friction_pc(0.8, FREQS) == pytest.approx(1.0 / 3.0,
+                                                             abs=1e-12)
+        assert zero_friction_pc(1.0, FREQS) == pytest.approx(2.0 / 9.0,
+                                                             abs=1e-12)
 
     def test_grid_validation(self, monkeypatch):
         for ph, pc in (([0.5], [0.1, 0.2]), ([0.5, 0.4], [0.1, 0.2]),
