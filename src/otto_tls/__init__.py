@@ -16,8 +16,9 @@ __version__ = "0.1.0"
 
 # The home module of each public name; __all__ and the lookup both read it.
 _HOMES = {
-    "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h",
-    "errors": "OttoError ConstraintViolation DomainError ConvergenceError",
+    "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h "
+                "ConstraintViolation",
+    "errors": "OttoError DomainError ConvergenceError",
     "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
                   "integrate_compression propagate_fixed_steps "
                   "transition_probability xi_sweep",

@@ -17,8 +17,10 @@ as in RFC 4180.  Exit codes: 0 success; 1 a domain error, a verification
 or convergence failure, or stdout closed early (a broken pipe); 2 argument
 errors and an output file that cannot be written.
 
-Each `_cmd_*` function computes its whole result and returns it as
-(status, lines); `main` then writes the lines once, to stdout or to
+Each subparser names its `_cmd_*` function with set_defaults(run=...),
+argparse's dispatch idiom, so the parser is the one list of subcommands.
+That function computes its whole result and returns it as (status, lines);
+`main` calls args.run and then writes the lines once, to stdout or to
 --output.  So a failure, in validation or in the computation, leaves an
 existing output file untouched, and an unwritable path is reported after
 the work.  A status is the exit code, or the one-line report of points
@@ -144,11 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("xi", help="transition probability versus stroke time")
+    p.set_defaults(run=_cmd_xi)
     _add_freq_args(p)
     _add_tau_args(p)
     _add_common_args(p)
 
     p = sub.add_parser("cycle", help="single-cycle energetics")
+    p.set_defaults(run=_cmd_cycle)
     _add_freq_args(p)
     _add_reservoir_args(p)
     g = p.add_mutually_exclusive_group(required=True)
@@ -157,12 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
 
     p = sub.add_parser("tau-sweep", help="cycle energetics versus stroke time")
+    p.set_defaults(run=_cmd_tau_sweep)
     _add_freq_args(p)
     _add_reservoir_args(p)
     _add_tau_args(p)
     _add_common_args(p)
 
     p = sub.add_parser("phase-map", help="friction work over (p_h, p_c)")
+    p.set_defaults(run=_cmd_phase_map)
     _add_freq_args(p)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--xi", type=float, default=0.25,
@@ -186,12 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
 
     p = sub.add_parser("windows", help="negative-friction population windows")
+    p.set_defaults(run=_cmd_windows)
     _add_freq_args(p)
     p.add_argument("--ph", type=float, help="hot population: report the p_c window")
     p.add_argument("--pc", type=float, help="cold population: report the p_h window")
     _add_output_arg(p)
 
-    sub.add_parser("verify", help="run the built-in self-check suite")
+    p = sub.add_parser("verify", help="run the built-in self-check suite")
+    p.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -332,16 +340,6 @@ def _cmd_verify(args) -> tuple:
     return run_suite()
 
 
-_COMMANDS = {
-    "xi": _cmd_xi,
-    "cycle": _cmd_cycle,
-    "tau-sweep": _cmd_tau_sweep,
-    "phase-map": _cmd_phase_map,
-    "windows": _cmd_windows,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -349,7 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        status, lines = _COMMANDS[args.command](args)
+        status, lines = args.run(args)
         _write(getattr(args, "output", None), lines)  # verify has no -o
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
     except BrokenPipeError:

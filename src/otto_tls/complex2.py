@@ -23,12 +23,16 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import ConstraintViolation
+from .errors import OttoError
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-12
 DENSITY_EIG_TOL = 1e-12
+
+
+class ConstraintViolation(OttoError):
+    """A matrix failed the structural check for its declared role."""
 
 
 class Matrix2(namedtuple("Matrix2", "a11 a12 a21 a22")):

@@ -1,12 +1,8 @@
-"""Exception types shared across the package."""
+"""The package's production errors; the matrix role error is in complex2."""
 
 
 class OttoError(Exception):
     """Base class for all package errors."""
-
-
-class ConstraintViolation(OttoError):
-    """A matrix failed the structural check for its declared role."""
 
 
 class DomainError(OttoError, ValueError):

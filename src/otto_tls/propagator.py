@@ -202,6 +202,8 @@ def transition_probability(u: Sequence[complex]) -> float:
     orthogonal partners; the amplitude is read from the entries directly.
     For a unitary U xi equals |<-y|U|+x>|^2, so only the first form is
     evaluated; any four entries are accepted, such as PropagatorResult.U.
+    It also reads the compression stroke: |<+x|V|-y>|^2 is this form on
+    V^dagger, so _evolve passes it V's conjugated, transposed entries.
     """
     u11, u12, u21, u22 = u
     w1 = u11 * _S2 - u12 * _S2  # U|-x>
@@ -222,13 +224,10 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
     def xi_of(raw):
         if not compression:
             return transition_probability(raw)
-        # xi for the compression propagator V is |<+x|V|-y>|^2, the
-        # adjoint-mirrored element of the expansion form.
+        # |<+x|V|-y>|^2 of the compression propagator V, read on V^dagger.
         v11, v12, v21, v22 = raw
-        w1 = v11 * _S2 - v21 * _S2
-        w2 = v12 * _S2 - v22 * _S2
-        amp = _S2 * w1 + 1j * _S2 * w2
-        return abs(amp) ** 2
+        return transition_probability((v11.conjugate(), v21.conjugate(),
+                                       v12.conjugate(), v22.conjugate()))
 
     n = cfg.resolve_steps(tau, freqs)
     raw = _propagate_magnus6(tau, freqs, n, compression)

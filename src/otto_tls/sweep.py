@@ -136,9 +136,10 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     for name, grid, hi in (("ph", ph_values, 1.0), ("pc", pc_values, 0.5)):
         if len(grid) < 2:
             raise DomainError(f"{name} grid must have at least 2 points")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        # Written so that NaN anywhere in the grid fails one of the tests.
+        if not all(a < b for a, b in zip(grid, grid[1:])):
             raise DomainError(f"{name} grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > hi:
+        if not (0.0 <= grid[0] and grid[-1] <= hi):
             raise DomainError(f"{name} grid must lie in [0, {hi}]")
     count = len(ph_values) * len(pc_values)
     if count > MAX_POINTS:

@@ -740,3 +740,14 @@ def test_option_strings_are_pinned():
     options = {name: " ".join(s for a in p._actions for s in a.option_strings)
                for name, p in sub.choices.items()}
     assert options == OPTIONS
+
+
+def test_each_subcommand_runs_its_own_function():
+    # The parser is the one registry: each subparser names its _cmd_*
+    # function through set_defaults(run=...).
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for name, p in sub.choices.items():
+        assert p.get_default("run") is \
+            getattr(otto_cli, "_cmd_" + name.replace("-", "_")), name

@@ -220,6 +220,22 @@ class TestPhaseMap:
         assert [(r.p_h, r.p_c) for r in rows] == \
                [(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)]
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("name", ["ph", "pc"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_in_a_grid_refused_before_any_cell(self, monkeypatch, at,
+                                                   name, threads):
+        # NaN at the start, middle or end of either grid fails that grid's
+        # own check before any cell computes.
+        def no_cell(inputs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr("otto_tls.sweep.cycle_energetics", no_cell)
+        grids = {"ph": [0.1, 0.5, 0.9], "pc": [0.1, 0.2, 0.4]}
+        grids[name][at] = math.nan
+        with pytest.raises(DomainError, match=f"^{name} grid must be"):
+            run_phase_map(FREQS, grids["ph"], grids["pc"], 0.25,
+                          threads=threads)
+
     def test_grids_may_be_any_sequence(self):
         # run_phase_map reads its grids during the call and keeps none.
         rows = run_phase_map(FREQS, (0.2, 0.8), (0.1, 0.4), 0.25)
