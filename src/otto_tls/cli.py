@@ -323,14 +323,13 @@ def _cmd_windows(args) -> tuple:
     if args.ph is None and args.pc is None:
         raise ValueError("windows: provide --ph and/or --pc")  # exits 2
     rows = []
-    if args.ph is not None:
-        w = negative_friction_window(args.ph, freqs)
-        rows.append(("p_c", args.ph,
-                     w[0] if w else "", w[1] if w else "", w is None))
-    if args.pc is not None:
-        w = hot_population_window(args.pc, freqs)
-        rows.append(("p_h", args.pc,
-                     w[0] if w else "", w[1] if w else "", w is None))
+    for window_for, given, window in (
+            ("p_c", args.ph, negative_friction_window),
+            ("p_h", args.pc, hot_population_window)):
+        if given is not None:
+            w = window(given, freqs)
+            rows.append((window_for, given,
+                         w[0] if w else "", w[1] if w else "", w is None))
     return 0, _csv(["window_for", "given", "lower", "upper", "empty"], rows)
 
 
@@ -357,12 +356,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except OttoError as exc:
+    except (OttoError, ValueError) as exc:
+        # DomainError is both, and exits 1.
         print(f"otto-tls: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"otto-tls: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OttoError) else 2
     if isinstance(status, str):  # unconverged points, reported after the write
         print(f"otto-tls: {status}", file=sys.stderr)
         return 1

@@ -138,11 +138,9 @@ def exp_neg_i_h(h: Hermitian2, phase_scale: float) -> Unitary2:
     Splits H = c*I + v.sigma and applies the Pauli-exponential identity;
     the result is unitary to rounding.
     """
-    if not isinstance(h, Hermitian2):
-        h = Hermitian2(*h.entries())
-    a = complex(h.a11).real
-    d = complex(h.a22).real
-    b = complex(h.a12)
+    a = h.a11.real
+    d = h.a22.real
+    b = h.a12
     c = 0.5 * (a + d)
     hz = 0.5 * (a - d)
     r = math.hypot(hz, abs(b))

@@ -44,7 +44,7 @@ MAX_STEPS = 2**22
 
 def _check_tau(tau: float) -> None:
     if not (0.0 < tau < math.inf):
-        raise DomainError(f"tau must be positive and finite, got {tau}")
+        raise DomainError(f"tau must be positive and finite, got {tau} ms")
 
 
 class IntegratorConfig(namedtuple("IntegratorConfig", "xi_tolerance")):
@@ -203,13 +203,19 @@ def transition_probability(u: Sequence[complex]) -> float:
     For a unitary U xi equals |<-y|U|+x>|^2, so only the first form is
     evaluated; any four entries are accepted, such as PropagatorResult.U.
     It also reads the compression stroke: |<+x|V|-y>|^2 is this form on
-    V^dagger, so _evolve passes it V's conjugated, transposed entries.
+    V^dagger, so _evolve passes it _adjoint(V).
     """
     u11, u12, u21, u22 = u
     w1 = u11 * _S2 - u12 * _S2  # U|-x>
     w2 = u21 * _S2 - u22 * _S2
     amp = _S2 * w1 - 1j * _S2 * w2
     return abs(amp) ** 2
+
+
+def _adjoint(a: Sequence[complex]) -> tuple[complex, ...]:
+    """Row-major entries of a^dagger, from a's row-major entries."""
+    a11, a12, a21, a22 = a
+    return a11.conjugate(), a21.conjugate(), a12.conjugate(), a22.conjugate()
 
 
 def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
@@ -222,12 +228,8 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
     would exceed MAX_STEPS.
     """
     def xi_of(raw):
-        if not compression:
-            return transition_probability(raw)
         # |<+x|V|-y>|^2 of the compression propagator V, read on V^dagger.
-        v11, v12, v21, v22 = raw
-        return transition_probability((v11.conjugate(), v21.conjugate(),
-                                       v12.conjugate(), v22.conjugate()))
+        return transition_probability(_adjoint(raw) if compression else raw)
 
     n = cfg.resolve_steps(tau, freqs)
     raw = _propagate_magnus6(tau, freqs, n, compression)

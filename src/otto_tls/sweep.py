@@ -27,7 +27,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError
 from .thermo import (CycleEnergetics, CycleFrequencies, CycleInputs,
-                     cycle_energetics)
+                     _check_population, _check_xi, cycle_energetics)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # run_tau_sweep imports propagator when it runs
@@ -109,7 +109,8 @@ def run_tau_sweep(freqs: CycleFrequencies, p_c: float, p_h: float,
     """
     from .propagator import xi_sweep
 
-    CycleInputs(freqs, p_c, p_h, 0.0)  # validates p_c, p_h
+    _check_population(p_c, "p_c")
+    _check_population(p_h, "p_h")
     return [(pt, cycle_energetics(CycleInputs(freqs, p_c, p_h, pt.xi)))
             for pt in xi_sweep(taus, freqs, cfg)]
 
@@ -145,8 +146,7 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     if count > MAX_POINTS:
         raise DomainError(
             f"phase map has {count} cells, more than {MAX_POINTS}")
-    if not (0.0 <= xi <= 0.5):
-        raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
+    _check_xi(xi)
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(pc_values, pc_values[1:]))
     d_ph = max(b - a for a, b in zip(ph_values, ph_values[1:]))

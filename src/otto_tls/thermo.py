@@ -102,6 +102,16 @@ def exponent_from_population(p: float) -> float:
     return math.log1p(-p) - math.log(p)
 
 
+def _check_population(p: float, name: str) -> None:
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"{name} must lie in [0, 1], got {p}")
+
+
+def _check_xi(xi: float) -> None:
+    if not (0.0 <= xi <= 0.5):
+        raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
+
+
 class CycleInputs(namedtuple("CycleInputs", "freqs p_c p_h xi")):
     """Everything the closed-form energetics need.
 
@@ -114,12 +124,9 @@ class CycleInputs(namedtuple("CycleInputs", "freqs p_c p_h xi")):
 
     def __new__(cls, freqs: CycleFrequencies, p_c: float, p_h: float,
                 xi: float):
-        if not (0.0 <= p_c <= 1.0):
-            raise DomainError(f"p_c must lie in [0, 1], got {p_c}")
-        if not (0.0 <= p_h <= 1.0):
-            raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
-        if not (0.0 <= xi <= 0.5):
-            raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
+        _check_population(p_c, "p_c")
+        _check_population(p_h, "p_h")
+        _check_xi(xi)
         return tuple.__new__(cls, (freqs, p_c, p_h, xi))
 
 
@@ -193,10 +200,8 @@ def entropy_production(p: float, xi: float) -> float:
     probability.  Sigma is 0 at xi = 0 and +inf at p in {0, 1} with xi > 0,
     where the quasi-static reference is pure and the final state is not.
     """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"population must lie in [0, 1], got {p}")
-    if not (0.0 <= xi <= 0.5):
-        raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
+    _check_population(p, "population")
+    _check_xi(xi)
     if xi == 0.0:
         return 0.0
     if p == 0.0 or p == 1.0:
@@ -206,6 +211,7 @@ def entropy_production(p: float, xi: float) -> float:
 
 def zero_friction_pc(p_h: float, freqs: CycleFrequencies) -> float:
     """Cold population p_c* = (1/2)(1 + (1 - 2 p_h) nu_c/nu_h) of W_fric = 0."""
+    _check_population(p_h, "p_h")
     return 0.5 * (1.0 + (1.0 - 2.0 * p_h) * (freqs.nu_c / freqs.nu_h))
 
 
@@ -215,9 +221,8 @@ def negative_friction_window(
 
     For an inverted hot reservoir (p_h > 1/2) the window is
     ((1/2)(1 + (1 - 2 p_h) nu_c/nu_h), 1/2); without inversion it is empty.
+    Its lower bound is zero_friction_pc, which checks p_h.
     """
-    if not (0.0 <= p_h <= 1.0):
-        raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
     lower = zero_friction_pc(p_h, freqs)
     if lower >= 0.5:
         return None
@@ -228,12 +233,13 @@ def hot_population_window(
         p_c: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
     """Hot-population interval giving negative friction work, or None.
 
-    Companion of negative_friction_window:
-    ((1/2)(1 + (1 - 2 p_c) nu_h/nu_c), 1]; empty when the bound reaches 1.
+    Companion of negative_friction_window, with p_c checked here:
+    ((1/2)(1 + (1 - 2 p_c) nu_h/nu_c), 1], empty when the bound reaches 1.
+    The bound falls below 0 once p_c > (1 + nu_c/nu_h)/2; then every p_h
+    in [0, 1] gives negative friction, and the lower end is clamped to 0.
     """
-    if not (0.0 <= p_c <= 1.0):
-        raise DomainError(f"p_c must lie in [0, 1], got {p_c}")
+    _check_population(p_c, "p_c")
     lower = 0.5 * (1.0 + (1.0 - 2.0 * p_c) * freqs.nu_h / freqs.nu_c)
     if lower >= 1.0:
         return None
-    return (lower, 1.0)
+    return (max(0.0, lower), 1.0)

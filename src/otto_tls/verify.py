@@ -15,12 +15,12 @@ import math
 import random
 
 from .errors import DomainError
-from .propagator import (evolve_expansion, integrate_compression,
+from .propagator import (_adjoint, evolve_expansion, integrate_compression,
                          transition_probability)
 from .thermo import (MODE_ENGINE, CycleEnergetics, CycleFrequencies,
-                     CycleInputs, _classify, cycle_energetics,
-                     entropy_production, exponent_from_population,
-                     negative_friction_window)
+                     CycleInputs, _check_population, _classify,
+                     cycle_energetics, entropy_production,
+                     exponent_from_population, negative_friction_window)
 
 _SUPPORT_EIG_TOL = 1e-14
 _SUPPORT_WEIGHT_TOL = 1e-12
@@ -50,18 +50,11 @@ def gibbs_state(p: float, axis: str) -> Entries:
     rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis;
     p = 0 and p = 1 give the pure ground and excited states.
     """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"population must lie in [0, 1], got {p}")
+    _check_population(p, "population")
     a11, a12, a21, a22 = projector_excited(axis)
     # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
     w = 2.0 * p - 1.0
     return (1.0 - p) + w * a11, w * a12, w * a21, (1.0 - p) + w * a22
-
-
-def _adjoint(a: Entries) -> Entries:
-    """Row-major entries of a^dag."""
-    a11, a12, a21, a22 = a
-    return a11.conjugate(), a21.conjugate(), a12.conjugate(), a22.conjugate()
 
 
 def _trace_product(a: Entries, b: Entries) -> float:

@@ -213,7 +213,7 @@ class TestConvergence:
                       lambda tau: propagate_fixed_steps(tau, FREQS, 8)):
             for tau in (0.0, -1e-3):
                 with pytest.raises(DomainError, match=(
-                        f"^tau must be positive and finite, got {tau}$")):
+                        f"^tau must be positive and finite, got {tau} ms$")):
                     check(tau)
 
     @pytest.mark.parametrize("tau", [math.inf, math.nan])

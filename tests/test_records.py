@@ -11,9 +11,11 @@ from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       CycleInputs, Density2, DomainError, Hermitian2,
                       IntegratorConfig, Matrix2, PhaseMapRow,
                       PropagatorResult, Unitary2, cycle_energetics,
-                      evolve_expansion, exp_neg_i_h, gibbs_population,
-                      gibbs_state, run_phase_map, run_tau_sweep)
-from otto_tls.sweep import tau_grid_us
+                      entropy_production, evolve_expansion, exp_neg_i_h,
+                      gibbs_population, gibbs_state, hot_population_window,
+                      negative_friction_window, run_phase_map, run_tau_sweep,
+                      zero_friction_pc)
+from otto_tls.sweep import linear_spaced, tau_grid_us
 
 FREQS = CycleFrequencies(2.0, 3.6)
 H = Hermitian2(0.3, 0.2 + 0.1j, 0.2 - 0.1j, -0.4)
@@ -199,6 +201,24 @@ NAN, INF = math.nan, math.inf
      "pc grid must lie in"),
     (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], 0.7), DomainError,
      "xi must lie"),
+    (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], NAN), DomainError,
+     "xi must lie"),
+    (lambda: run_tau_sweep(FREQS, 0.4, NAN, [0.01], CFG), DomainError,
+     "p_h must lie in"),
+    (lambda: zero_friction_pc(NAN, FREQS), DomainError,
+     r"p_h must lie in \[0, 1\]"),
+    (lambda: zero_friction_pc(-0.1, FREQS), DomainError,
+     r"p_h must lie in \[0, 1\]"),
+    (lambda: zero_friction_pc(1.5, FREQS), DomainError,
+     r"p_h must lie in \[0, 1\]"),
+    (lambda: negative_friction_window(NAN, FREQS), DomainError,
+     "p_h must lie in"),
+    (lambda: hot_population_window(NAN, FREQS), DomainError, "p_c must lie"),
+    (lambda: entropy_production(NAN, 0.25), DomainError,
+     "population must lie"),
+    (lambda: entropy_production(0.4, NAN), DomainError, "xi must lie"),
+    (lambda: gibbs_state(NAN, "x"), DomainError, "population must lie"),
+    (lambda: linear_spaced(0.5, 0.5, 3), DomainError, "need lo < hi"),
 ])
 def test_validation_errors_fire(build, exc, match):
     with pytest.raises(exc, match=match):

@@ -423,6 +423,14 @@ class TestWindows:
         assert w[0] == pytest.approx(0.5 * (1 + 0.2 * 1.8), abs=1e-12)
         assert hot_population_window(0.1, FREQS) is None
 
+    @pytest.mark.parametrize("p_c", [0.9, 1.0])
+    def test_hot_window_clamped_at_zero(self, p_c):
+        # Above p_c = (1 + nu_c/nu_h)/2 the bound falls below 0: every p_h
+        # in [0, 1] gives negative friction, p_h = 0 included.
+        assert hot_population_window(p_c, FREQS) == (0.0, 1.0)
+        en = cycle_energetics(CycleInputs(FREQS, p_c, 0.0, 0.25))
+        assert en.w_fric < 0
+
     def test_sign_theorem(self):
         # w_fric < 0 iff p_c lies inside the window (for xi > 0).
         rng = random.Random(31)
