@@ -42,7 +42,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .errors import OttoError
+from .errors import DomainError, OttoError
 
 UNITS_COMMENT = "# energy unit: h*kHz; time unit: us"
 
@@ -212,6 +212,14 @@ def _config(args):
     return IntegratorConfig(args.xi_tol)
 
 
+def _ms(tau_us: float) -> float:
+    """A stroke duration in ms, from one in us that must not round to 0."""
+    tau = tau_us * 1e-3
+    if tau_us > 0.0 and tau == 0.0:
+        raise DomainError(f"tau={tau_us} us rounds to 0 ms")
+    return tau
+
+
 def _tau_grid(args) -> tuple:
     """Stroke durations from --tau-min, --tau-max, --points, --linear.
 
@@ -222,7 +230,7 @@ def _tau_grid(args) -> tuple:
     from .sweep import tau_grid_us
 
     taus_us = tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
-    return taus_us, [t * 1e-3 for t in taus_us], _config(args)
+    return taus_us, [_ms(t) for t in taus_us], _config(args)
 
 
 def _xi(args, freqs) -> float:
@@ -233,7 +241,7 @@ def _xi(args, freqs) -> float:
         return args.xi
     from .propagator import evolve_expansion
 
-    return evolve_expansion(args.tau * 1e-3, freqs, _config(args)).xi
+    return evolve_expansion(_ms(args.tau), freqs, _config(args)).xi
 
 
 def _unconverged(points) -> int | str:
@@ -297,11 +305,6 @@ def _cmd_phase_map(args) -> tuple:
     from .sweep import linear_spaced, run_phase_map
     from .thermo import CycleFrequencies, zero_friction_pc
 
-    cpus = os.cpu_count() or 1
-    if args.threads is not None and not 1 <= args.threads <= cpus:
-        # Each worker is an OS thread: refused before any is started.
-        raise ValueError(f"--threads must lie in [1, {cpus}], got "
-                         f"{args.threads}")  # exits 2
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     ph_values = linear_spaced(args.ph_min, args.ph_max, args.ph_points)
     pc_values = linear_spaced(args.pc_min, args.pc_max, args.pc_points)

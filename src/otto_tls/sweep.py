@@ -11,8 +11,9 @@ integrator, and its zero-friction line is thermo.zero_friction_pc.  Every
 energy comes from thermo.cycle_energetics: a tau-sweep point and a
 phase-map cell at the same (p_c, p_h, xi) report the same friction work
 and mode.  Sweep points are independent pure computations, evaluated in
-input order.  Only the phase map may run its cells on a thread pool
-(threads); it assembles them in input order, so its output is bitwise
+input order.  Only the phase map may run its cells on a thread pool of
+`threads` workers, at most the CPU count, which run_phase_map checks before
+it starts any; it assembles them in input order, so its output is bitwise
 deterministic whatever the thread count.  The tau loop is serial:
 its per-point work is pure Python that holds the interpreter lock, and a
 pool measured slower.
@@ -85,17 +86,6 @@ def tau_grid_us(tau_min: float, tau_max: float, points: int,
     return spacing(tau_min, tau_max, points)
 
 
-def _map_ordered(fn, items, threads: int | None):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    # Imported here so that serial runs skip the import cost.
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_tau_sweep(freqs: CycleFrequencies, p_c: float, p_h: float,
                   taus: Sequence[float], cfg: IntegratorConfig
                   ) -> list[tuple[PropagatorResult, CycleEnergetics]]:
@@ -129,6 +119,9 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     duration, so xi enters only as a magnitude.  Each grid needs at least
     2 strictly increasing points, p_h in [0, 1] and p_c in [0, 1/2], and
     the two hold at most MAX_POINTS cells together; xi lies in [0, 1/2].
+    The cells run on a pool of threads workers, serially at 1; threads
+    None means os.cpu_count(), and any other value must lie in [1, that
+    count], checked after the grids and xi and before any thread starts.
     w_fric and mode are those of cycle_energetics.  A cell is marked
     on_zero_line when the friction bracket nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)
     is smaller than the grid resolution maps into energy units; the bracket
@@ -147,6 +140,12 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
         raise DomainError(
             f"phase map has {count} cells, more than {MAX_POINTS}")
     _check_xi(xi)
+    cpus = os.cpu_count() or 1
+    if threads is None:
+        threads = cpus
+    elif not 1 <= threads <= cpus:
+        # Each worker is an OS thread: refused before any is started.
+        raise DomainError(f"threads must lie in [1, {cpus}], got {threads}")
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(pc_values, pc_values[1:]))
     d_ph = max(b - a for a, b in zip(ph_values, ph_values[1:]))
@@ -161,4 +160,9 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
         return PhaseMapRow(ph, pc, en.w_fric, en.mode,
                            abs(bracket) < line_tol)
 
-    return _map_ordered(cell, cells, threads)
+    if threads == 1:
+        return [cell(x) for x in cells]
+    # Imported here so that serial runs skip the import cost.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(cell, cells))

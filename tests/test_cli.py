@@ -138,6 +138,15 @@ class TestCycle:
                                  "--tau", "3e-6")
         assert (code, err) == (0, "")
         assert "xi = 0.5" in out.splitlines()
+        # A positive stroke whose ms value rounds to 0 is refused by the
+        # value typed in us, not as the 0.0 ms that would reach the library.
+        for argv, typed in (
+                (("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
+                  "--ph", "0.8", "--tau", "5e-324"), "5e-324"),
+                (("xi", "--nu-c", "2", "--nu-h", "3.6", "--tau-min", "1e-322",
+                  "--tau-max", "1", "--points", "3"), "1e-322")):
+            assert run_cli(*argv) == (
+                1, "", f"otto-tls: tau={typed} us rounds to 0 ms\n")
 
     def test_engine_edge_where_q_h_nearly_vanishes(self):
         # q_h is 4e-16 here and eta about 3e14; the cycle is still
@@ -383,14 +392,16 @@ class TestErrorsAndVerify:
     @pytest.mark.parametrize("threads", ["0", "-1", str(CPUS + 1), "100000"],
                              ids=["zero", "negative", "cpus-plus-1", "huge"])
     def test_threads_outside_cpu_count_refused(self, monkeypatch, threads):
+        # --threads reaches run_phase_map unchanged, which refuses it
+        # before it builds a pool.
         def never(*args, **kwargs):
-            raise AssertionError("run_phase_map called")
+            raise AssertionError("a ThreadPoolExecutor was constructed")
 
-        monkeypatch.setattr("otto_tls.sweep.run_phase_map", never)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", never)
         code, out, err = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
                                  "--threads", threads)
         assert (code, out, err) == (
-            2, "", f"otto-tls: --threads must lie in [1, {CPUS}], got "
+            1, "", f"otto-tls: threads must lie in [1, {CPUS}], got "
                    f"{threads}\n")
 
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import os
 import pickle
 
 import pytest
@@ -219,6 +220,9 @@ NAN, INF = math.nan, math.inf
     (lambda: entropy_production(0.4, NAN), DomainError, "xi must lie"),
     (lambda: gibbs_state(NAN, "x"), DomainError, "population must lie"),
     (lambda: linear_spaced(0.5, 0.5, 3), DomainError, "need lo < hi"),
+    *[(lambda t=t: run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25,
+                                 threads=t), DomainError, "threads must lie in")
+      for t in (0, -1, (os.cpu_count() or 1) + 1, 10**30)],
 ])
 def test_validation_errors_fire(build, exc, match):
     with pytest.raises(exc, match=match):
