@@ -9,16 +9,35 @@ check them.
 
 Importing the package loads none of its submodules: each public name is
 imported from its home module on first access (PEP 562), so a CLI call
-compiles only the modules its subcommand runs.
+compiles only the modules its subcommand runs.  The three production error
+types are defined here, since every module raises them; the matrix role
+error, ConstraintViolation, is in complex2.
 """
 
 __version__ = "0.1.0"
 
-# The home module of each public name; __all__ and the lookup both read it.
+
+class OttoError(Exception):
+    """Base class for all package errors."""
+
+
+class DomainError(OttoError, ValueError):
+    """An argument fell outside its valid domain."""
+
+
+class ConvergenceError(OttoError):
+    """xi did not settle within MAX_STEPS steps; carries the best estimate."""
+
+    def __init__(self, message, best=None):
+        super().__init__(message)
+        self.best = best
+
+
+# The home module of each public name defined elsewhere; __all__ and the
+# lookup both read it.
 _HOMES = {
     "complex2": "Matrix2 Hermitian2 Unitary2 Density2 exp_neg_i_h "
                 "ConstraintViolation",
-    "errors": "OttoError DomainError ConvergenceError",
     "propagator": "IntegratorConfig PropagatorResult evolve_expansion "
                   "integrate_compression propagate_fixed_steps "
                   "transition_probability xi_sweep",
@@ -33,7 +52,7 @@ _HOMES = {
 _HOME = {name: module for module, names in _HOMES.items()
          for name in names.split()}
 
-__all__ = list(_HOME)
+__all__ = ["OttoError", "DomainError", "ConvergenceError", *_HOME]
 
 
 def __getattr__(name):

@@ -26,12 +26,12 @@ existing output file untouched, and an unwritable path is reported after
 the work.  A status is the exit code, or the one-line report of points
 that did not converge, printed after the write and exiting 1.
 
-Start-up: at module level this file imports only the standard library,
-`__version__` and `errors`.  Each `_cmd_*` function imports the package
-names it uses when it runs, so `--version`, `--help` and a usage error
-load no numeric module, and a subcommand compiles only the modules it
-runs.  A function-level import reads the home module's namespace at call
-time, so a name patched there is the one called.
+Start-up: at module level this file imports only the standard library and
+the package root's `__version__` and error types.  Each `_cmd_*` function
+imports the package names it uses when it runs, so `--version`, `--help`
+and a usage error load no numeric module, and a subcommand compiles only
+the modules it runs.  A function-level import reads the home module's
+namespace at call time, so a name patched there is the one called.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from . import __version__
-from .errors import DomainError, OttoError
+from . import DomainError, OttoError, __version__
 
 UNITS_COMMENT = "# energy unit: h*kHz; time unit: us"
 

@@ -23,7 +23,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .errors import OttoError
+from . import OttoError  # the package root defines the error types
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10

@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import ConvergenceError, DomainError
+from . import ConvergenceError, DomainError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the integrator loads no model module

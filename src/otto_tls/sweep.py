@@ -26,7 +26,7 @@ import os
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DomainError
+from . import DomainError
 from .thermo import (CycleEnergetics, CycleFrequencies, CycleInputs,
                      _check_population, _check_xi, cycle_energetics)
 
@@ -120,8 +120,9 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     2 strictly increasing points, p_h in [0, 1] and p_c in [0, 1/2], and
     the two hold at most MAX_POINTS cells together; xi lies in [0, 1/2].
     The cells run on a pool of threads workers, serially at 1; threads
-    None means os.cpu_count(), and any other value must lie in [1, that
-    count], checked after the grids and xi and before any thread starts.
+    None means os.cpu_count(), and any other value must be an int in [1,
+    that count], checked after the grids and xi and before any thread
+    starts.
     w_fric and mode are those of cycle_energetics.  A cell is marked
     on_zero_line when the friction bracket nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)
     is smaller than the grid resolution maps into energy units; the bracket
@@ -143,9 +144,10 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     cpus = os.cpu_count() or 1
     if threads is None:
         threads = cpus
-    elif not 1 <= threads <= cpus:
-        # Each worker is an OS thread: refused before any is started.
-        raise DomainError(f"threads must lie in [1, {cpus}], got {threads}")
+    elif type(threads) is not int or not 1 <= threads <= cpus:
+        # Each worker is an OS thread: refused before any is started.  The
+        # exact type test also refuses True, since bool subclasses int.
+        raise DomainError(f"threads must lie in [1, {cpus}], got {threads!r}")
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(pc_values, pc_values[1:]))
     d_ph = max(b - a for a, b in zip(ph_values, ph_values[1:]))

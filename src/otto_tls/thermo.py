@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from . import DomainError
 
 MODE_ENGINE = "engine"
 MODE_NO_WORK = "not-engine(w_net>=0)"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import DomainError
+from . import DomainError
 from .propagator import (_adjoint, evolve_expansion, integrate_compression,
                          transition_probability)
 from .thermo import (MODE_ENGINE, CycleEnergetics, CycleFrequencies,

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -64,6 +65,20 @@ def midpoint_entries(tau: float, freqs: CycleFrequencies,
     phase = complex(cos(total_angle), -sin(total_angle))
     return (phase * u, phase * v,
             -phase * v.conjugate(), phase * u.conjugate())
+
+
+def xi_1(tau: float, freqs: CycleFrequencies) -> float:
+    """xi of a long expansion stroke to first order in 1/tau (ms, kHz).
+
+    The adiabatic-limit oracle: first-order adiabatic perturbation theory
+    leaves the tilt 1/(4 nu tau) of the co-rotating frame's eigenbasis at
+    each end of the stroke, and xi is the interference of the two,
+    [1/nu_c^2 + 1/nu_h^2 - 2 cos(pi (nu_c + nu_h) tau)/(nu_c nu_h)]
+    / (64 tau^2).  The next order adds O(1/tau^3).
+    """
+    nu_c, nu_h = freqs.nu_c, freqs.nu_h
+    phase = cmath.exp(1j * math.pi * (nu_c + nu_h) * tau)
+    return abs(1.0 / (8.0 * nu_c * tau) - phase / (8.0 * nu_h * tau)) ** 2
 
 
 def random_hermitian(rng: random.Random, scale: float = 2.0) -> Hermitian2:

@@ -674,7 +674,7 @@ print(sorted(m for m in sys.modules if m.startswith("otto_tls")))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", "0 []", "0 []", "2 []",
-        "['otto_tls', 'otto_tls.errors', 'otto_tls.propagator']"]
+        "['otto_tls', 'otto_tls.propagator']"]
 
 
 FREQ_ARGV = ["--nu-c", "2", "--nu-h", "3.6"]

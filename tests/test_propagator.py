@@ -15,7 +15,7 @@ from otto_tls.sweep import log_spaced
 
 from conftest import (KET_MINUS_X, KET_MINUS_Y, KET_PLUS_X, KET_PLUS_Y,
                       midpoint_entries, random_unitary, stroke_unitary,
-                      to_numpy)
+                      to_numpy, xi_1)
 
 FREQS = CycleFrequencies(2.0, 3.6)
 
@@ -122,6 +122,19 @@ class TestLimits:
 
     def test_adiabatic_limit(self):
         assert evolve_expansion(2.0, FREQS).xi < 0.01
+
+    def test_long_strokes_approach_first_order_adiabatic_xi(self):
+        # The integrator at its tightest tolerance against the closed-form
+        # xi_1, whose error falls as 1/tau^3.  C was sized from the largest
+        # gap * tau^3 measured over these taus: 5.0e-4 at (2, 3.6) and
+        # 1.26e-3 at (1, 2), both at 33.3 and 333.3 ms; C = 2e-3 leaves a
+        # margin of 1.6x over the larger.
+        cfg = IntegratorConfig(1e-14)
+        for freqs in (FREQS, CycleFrequencies(1.0, 2.0)):
+            for tau in (30.0, 33.3, 60.0, 100.0, 200.0, 333.3, 600.0, 1000.0):
+                gap = abs(evolve_expansion(tau, freqs, cfg).xi
+                          - xi_1(tau, freqs))
+                assert gap <= 2e-3 / tau**3, (freqs, tau, gap)
 
     def test_xi_bounds_across_taus(self):
         for tau in [0.001, 0.01, 0.05, 0.2, 0.5, 1.0]:

@@ -222,7 +222,7 @@ NAN, INF = math.nan, math.inf
     (lambda: linear_spaced(0.5, 0.5, 3), DomainError, "need lo < hi"),
     *[(lambda t=t: run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25,
                                  threads=t), DomainError, "threads must lie in")
-      for t in (0, -1, (os.cpu_count() or 1) + 1, 10**30)],
+      for t in (0, -1, (os.cpu_count() or 1) + 1, 10**30, True, 1.5, "2")],
 ])
 def test_validation_errors_fire(build, exc, match):
     with pytest.raises(exc, match=match):
