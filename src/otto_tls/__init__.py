@@ -10,8 +10,8 @@ check them.
 Importing the package loads none of its submodules: each public name is
 imported from its home module on first access (PEP 562), so a CLI call
 compiles only the modules its subcommand runs.  The three production error
-types are defined here, since every module raises them; the matrix role
-error, ConstraintViolation, is in complex2.
+types and the one count rule, _check_count, are defined here, since the
+modules share them; the matrix role error, ConstraintViolation, is in complex2.
 """
 
 __version__ = "0.1.0"
@@ -31,6 +31,15 @@ class ConvergenceError(OttoError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+def _check_count(name: str, n: object, lo: int, hi: int) -> None:
+    """The one count rule: DomainError unless n is an int in [lo, hi].
+
+    The type test is exact, so True (a bool), 3.0 and "3" are refused.
+    """
+    if not (type(n) is int and lo <= n <= hi):
+        raise DomainError(f"{name} must be an int in [{lo}, {hi}], got {n!r}")
 
 
 # The home module of each public name defined elsewhere; __all__ and the

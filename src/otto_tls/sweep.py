@@ -2,7 +2,9 @@
 
 Times are in ms, as everywhere below the CLI.  log_spaced and linear_spaced
 build the grids, and tau_grid_us builds the CLI's tau grid (us) from its
-bounds.  Each sweep checks its inputs when it is called: run_tau_sweep the
+bounds.  Every count here (points, threads) and propagator's step counts
+pass the package's one count rule, otto_tls._check_count.  Each sweep
+checks its inputs when it is called: run_tau_sweep the
 populations, leaving the strokes to propagator.xi_sweep, the loop behind
 the xi(tau) curve, which checks every tau before it integrates any;
 run_phase_map its grids and xi.  run_tau_sweep pairs each PropagatorResult
@@ -26,7 +28,7 @@ import os
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import DomainError
+from . import DomainError, _check_count
 from .thermo import (CycleEnergetics, CycleFrequencies, CycleInputs,
                      _check_population, _check_xi, cycle_energetics)
 
@@ -40,13 +42,6 @@ if TYPE_CHECKING:  # run_tau_sweep imports propagator when it runs
 MAX_POINTS = 500_000
 
 
-def _check_count(points: int) -> None:
-    if points < 2:
-        raise DomainError("points must be at least 2")
-    if points > MAX_POINTS:
-        raise DomainError(f"points must be at most {MAX_POINTS}, got {points}")
-
-
 def _check_finite_bounds(lo: float, hi: float) -> None:
     for x in (lo, hi):
         if not math.isfinite(x):
@@ -58,7 +53,7 @@ def log_spaced(lo: float, hi: float, points: int) -> list[float]:
     _check_finite_bounds(lo, hi)
     if not (0.0 < lo < hi):
         raise DomainError(f"need 0 < lo < hi, got {lo}, {hi}")
-    _check_count(points)
+    _check_count("points", points, 2, MAX_POINTS)
     la, lb = math.log(lo), math.log(hi)
     grid = [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
     grid[0], grid[-1] = lo, hi  # exp(log(x)) can miss x by ulps
@@ -69,7 +64,7 @@ def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
     _check_finite_bounds(lo, hi)
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got {lo}, {hi}")
-    _check_count(points)
+    _check_count("points", points, 2, MAX_POINTS)
     grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
     grid[-1] = hi  # lo + (hi - lo) can round above hi
     return grid
@@ -142,12 +137,8 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
             f"phase map has {count} cells, more than {MAX_POINTS}")
     _check_xi(xi)
     cpus = os.cpu_count() or 1
-    if threads is None:
-        threads = cpus
-    elif type(threads) is not int or not 1 <= threads <= cpus:
-        # Each worker is an OS thread: refused before any is started.  The
-        # exact type test also refuses True, since bool subclasses int.
-        raise DomainError(f"threads must lie in [1, {cpus}], got {threads!r}")
+    threads = cpus if threads is None else threads
+    _check_count("threads", threads, 1, cpus)  # before any OS thread starts
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(pc_values, pc_values[1:]))
     d_ph = max(b - a for a, b in zip(ph_values, ph_values[1:]))

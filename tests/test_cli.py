@@ -375,10 +375,10 @@ class TestErrorsAndVerify:
 
     @pytest.mark.parametrize("argv, message", [
         (("xi", "--nu-c", "2", "--nu-h", "3.6", "--points", "300000000"),
-         f"points must be at most {MAX_POINTS}, got 300000000"),
+         f"points must be an int in [2, {MAX_POINTS}], got 300000000"),
         (("tau-sweep", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4",
           "--ph", "0.8", "--linear", "--points", str(MAX_POINTS + 1)),
-         f"points must be at most {MAX_POINTS}, got {MAX_POINTS + 1}"),
+         f"points must be an int in [2, {MAX_POINTS}], got {MAX_POINTS + 1}"),
         (("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--ph-points", "20000",
           "--pc-points", "20000"),
          f"phase map has 400000000 cells, more than {MAX_POINTS}"),
@@ -401,7 +401,7 @@ class TestErrorsAndVerify:
         code, out, err = run_cli("phase-map", "--nu-c", "2", "--nu-h", "3.6",
                                  "--threads", threads)
         assert (code, out, err) == (
-            1, "", f"otto-tls: threads must lie in [1, {CPUS}], got "
+            1, "", f"otto-tls: threads must be an int in [1, {CPUS}], got "
                    f"{threads}\n")
 
     @pytest.mark.parametrize("argv", [

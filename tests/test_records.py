@@ -4,6 +4,7 @@ import copy
 import math
 import os
 import pickle
+import re
 
 import pytest
 
@@ -15,8 +16,9 @@ from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       entropy_production, evolve_expansion, exp_neg_i_h,
                       gibbs_population, gibbs_state, hot_population_window,
                       negative_friction_window, run_phase_map, run_tau_sweep,
-                      zero_friction_pc)
-from otto_tls.sweep import linear_spaced, tau_grid_us
+                      propagate_fixed_steps, zero_friction_pc)
+from otto_tls.propagator import MAX_STEPS
+from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced, tau_grid_us
 
 FREQS = CycleFrequencies(2.0, 3.6)
 H = Hermitian2(0.3, 0.2 + 0.1j, 0.2 - 0.1j, -0.4)
@@ -181,7 +183,7 @@ NAN, INF = math.nan, math.inf
     (lambda: tau_grid_us(0.0, 1000.0, 50, linear=True), DomainError,
      "tau_min < tau_max"),
     (lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
-     "points must be at least 2"),
+     r"points must be an int in \[2, "),
     (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.1, 0.0], CFG), DomainError,
      "tau must be positive and finite"),
     (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.0, 1.0], CFG), DomainError,
@@ -221,9 +223,26 @@ NAN, INF = math.nan, math.inf
     (lambda: gibbs_state(NAN, "x"), DomainError, "population must lie"),
     (lambda: linear_spaced(0.5, 0.5, 3), DomainError, "need lo < hi"),
     *[(lambda t=t: run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25,
-                                 threads=t), DomainError, "threads must lie in")
-      for t in (0, -1, (os.cpu_count() or 1) + 1, 10**30, True, 1.5, "2")],
+                                 threads=t), DomainError,
+       "threads must be an int in")
+      for t in (0, -1, (os.cpu_count() or 1) + 1, 10**30, True, 1.5, "2",
+                1.0)],
+    # Every count passes one rule, which refuses a count that is not an
+    # exact int (bool subclasses int) as well as one out of its range.
+    *[(lambda f=f, n=n: f(1.0, 2.0, n), DomainError,
+       rf"^points must be an int in \[2, {MAX_POINTS}\], "
+       rf"got {re.escape(repr(n))}$")
+      for f in (log_spaced, linear_spaced) for n in (2.5, 3.0, True, "3")],
+    *[(lambda n=n: propagate_fixed_steps(0.3, FREQS, n), DomainError,
+       rf"^steps must be an int in \[1, {MAX_STEPS}\], "
+       rf"got {re.escape(repr(n))}$")
+      for n in (True, 2.0, "8", 0, MAX_STEPS + 1)],
 ])
-def test_validation_errors_fire(build, exc, match):
+def test_validation_errors_fire(build, exc, match, monkeypatch):
+    # No refusal may take an integrator step.
+    def no_step(*args):
+        raise AssertionError("an integrator step was taken")
+
+    monkeypatch.setattr("otto_tls.propagator._propagate_magnus6", no_step)
     with pytest.raises(exc, match=match):
         build()
