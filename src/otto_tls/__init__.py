@@ -9,7 +9,7 @@ check them.
 
 Importing the package loads none of its submodules: each public name is
 imported from its home module on first access (PEP 562), so a CLI call
-compiles only the modules its subcommand runs.  The three production error
+compiles only the modules its subcommand runs.  The two production error
 types and the one count rule, _check_count, are defined here, since the
 modules share them; the matrix role error, ConstraintViolation, is in complex2.
 """
@@ -23,14 +23,6 @@ class OttoError(Exception):
 
 class DomainError(OttoError, ValueError):
     """An argument fell outside its valid domain."""
-
-
-class ConvergenceError(OttoError):
-    """xi did not settle within MAX_STEPS steps; carries the best estimate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 def _check_count(name: str, n: object, lo: int, hi: int) -> None:
@@ -61,7 +53,7 @@ _HOMES = {
 _HOME = {name: module for module, names in _HOMES.items()
          for name in names.split()}
 
-__all__ = ["OttoError", "DomainError", "ConvergenceError", *_HOME]
+__all__ = ["OttoError", "DomainError", *_HOME]
 
 
 def __getattr__(name):

@@ -233,14 +233,19 @@ def _tau_grid(args) -> tuple:
 
 
 def _xi(args, freqs) -> float:
-    """xi from --xi, or from integrating a stroke of --tau us."""
+    """xi from --xi, or from a stroke of --tau us, which must converge."""
     if args.tau is None:
         if args.xi_tol is not None:
             raise ValueError("--xi-tol has no effect without --tau")  # exits 2
         return args.xi
-    from .propagator import evolve_expansion
+    from . import propagator
 
-    return evolve_expansion(_ms(args.tau), freqs, _config(args)).xi
+    tau, cfg = _ms(args.tau), _config(args)
+    res = propagator.evolve_expansion(tau, freqs, cfg)
+    if not res.converged:
+        raise OttoError(f"xi not converged to {cfg.xi_tolerance} within "
+                        f"{propagator.MAX_STEPS} steps (tau={tau} ms)")
+    return res.xi
 
 
 def _unconverged(points) -> int | str:

@@ -13,8 +13,9 @@ exponential.  Every intermediate U is therefore unitary to rounding.  The
 step count is doubled until the adiabaticity parameter xi - the only scalar
 consumed downstream - is self-consistent to the configured tolerance, and
 no stroke integrates more than MAX_STEPS final steps.  Each integration
-returns one PropagatorResult; xi_sweep checks every stroke of its grid
-before it integrates any, then returns one per stroke.  xi is read from
+returns one PropagatorResult, with converged=False if it ran out of steps
+(it raises nothing); xi_sweep checks every stroke of its grid before it
+integrates any, then returns one per stroke.  xi is read from
 U's four entries directly, and CycleFrequencies, from thermo, appears only
 in annotations: importing the integrator loads no model module.
 
@@ -30,7 +31,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import ConvergenceError, DomainError, _check_count
+from . import DomainError, _check_count
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the integrator loads no model module
@@ -53,8 +54,8 @@ class IntegratorConfig(namedtuple("IntegratorConfig", "xi_tolerance")):
     Doubling starts at max(8, ceil(8 * nu_h * tau)) steps (resolve_steps),
     a start sized for the sixth-order Magnus step: 8 steps per Larmor
     period 1/nu_h, and never fewer than 8.  It stops once |xi_2n - xi_n|
-    is below xi_tolerance, or fails when the next doubling would exceed
-    MAX_STEPS.  xi_tolerance lies in [1e-14, 1e-2): rounding can keep
+    is below xi_tolerance, or, unconverged, when the next doubling would
+    exceed MAX_STEPS.  xi_tolerance lies in [1e-14, 1e-2): rounding can keep
     |xi_2n - xi_n| above a smaller tolerance for good.
     """
 
@@ -91,10 +92,11 @@ class PropagatorResult(namedtuple("PropagatorResult",
     xi_error_estimate the last |xi_2n - xi_n|, which bounds xi's error: on
     100 log-spaced taus of 10-1000 us at nu_c=2, nu_h=3.6 the error was
     0.012-0.019 of it (median 0.016; sixth order gives 1/63).  converged is
-    False only on ConvergenceError.best.  xi is |amp|^2 >= 0, and rounding
-    can take it just past 1/2 in the sudden limit: a value within
-    XI_MAX_SLACK of 1/2 is stored as 1/2, so every consumer sees xi in
-    [0, 1/2].  Larger values and NaN raise DomainError.
+    False if the stroke ran out of steps: every field is then its last
+    pass's, the estimate at or above the tolerance.  xi is |amp|^2 >= 0,
+    and rounding can take it just past 1/2 in the sudden limit: a value
+    within XI_MAX_SLACK of 1/2 is stored as 1/2, so every consumer sees xi
+    in [0, 1/2].  Larger values and NaN raise DomainError.
     """
 
     __slots__ = ()
@@ -225,9 +227,9 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
     """Magnus integration, doubling the step count until xi settles.
 
     Starts at cfg.resolve_steps and doubles until |xi_2n - xi_n| is below
-    cfg.xi_tolerance; xi_2n and that difference are returned.  Raises
-    ConvergenceError carrying the last estimate when the next doubling
-    would exceed MAX_STEPS.
+    cfg.xi_tolerance; xi_2n and that difference are returned.  When the
+    next doubling would exceed MAX_STEPS, the last pass is returned with
+    converged=False; callers that need a settled xi check the flag.
     """
     def xi_of(raw):
         # |<+x|V|-y>|^2 of the compression propagator V, read on V^dagger.
@@ -244,17 +246,15 @@ def _evolve(tau: float, freqs: CycleFrequencies, cfg: IntegratorConfig,
         if err < cfg.xi_tolerance:
             return PropagatorResult(raw, n, err, xi)
         xi_prev = xi
-    best = PropagatorResult(raw, n, err, xi, converged=False)
-    raise ConvergenceError(
-        f"xi not converged to {cfg.xi_tolerance} within {MAX_STEPS} steps "
-        f"(tau={tau} ms)", best=best)
+    return PropagatorResult(raw, n, err, xi, converged=False)
 
 
 def evolve_expansion(tau: float, freqs: CycleFrequencies,
                      cfg: IntegratorConfig = IntegratorConfig()) -> PropagatorResult:
-    """Converged expansion-stroke propagator for a stroke of tau ms.
+    """Expansion-stroke propagator for a stroke of tau ms.
 
-    The compression propagator is the adjoint of the returned unitary.
+    The compression propagator is the adjoint of the returned unitary;
+    the result's converged flag says whether xi settled.
     """
     return _evolve(tau, freqs, cfg, compression=False)
 
@@ -289,16 +289,10 @@ def xi_sweep(tau_values: Sequence[float], freqs: CycleFrequencies,
     Every tau is checked by cfg.resolve_steps before any is integrated, so
     a grid with a stroke that is not positive and finite, or too long to
     integrate, raises DomainError without doing any work.  A point that
-    does not converge within MAX_STEPS is the ConvergenceError's best
-    estimate, with converged=False; it does not abort the sweep.
+    does not converge within MAX_STEPS is its last estimate, with
+    converged=False; it does not abort the sweep.
     """
     tau_values = tuple(tau_values)  # read twice: checked, then integrated
     for tau in tau_values:
         cfg.resolve_steps(tau, freqs)
-    out = []
-    for tau in tau_values:
-        try:
-            out.append(evolve_expansion(tau, freqs, cfg))
-        except ConvergenceError as exc:
-            out.append(exc.best)
-    return out
+    return [evolve_expansion(tau, freqs, cfg) for tau in tau_values]

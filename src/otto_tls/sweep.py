@@ -89,8 +89,8 @@ def run_tau_sweep(freqs: CycleFrequencies, p_c: float, p_h: float,
     p_c and p_h are checked first, then xi_sweep checks every tau before it
     integrates any.  Returns (PropagatorResult, CycleEnergetics) pairs in
     grid order.  A point that does not converge within
-    propagator.MAX_STEPS has converged=False and keeps the best available
-    xi; it never aborts the sweep.
+    propagator.MAX_STEPS has converged=False and the xi of its last pass;
+    it never aborts the sweep.
     """
     from .propagator import xi_sweep
 

@@ -224,17 +224,20 @@ def run_suite() -> tuple[int, list[str]]:
     check("negative-friction window lower bound 1/3",
           w is not None and abs(w[0] - 1.0 / 3.0) <= 1e-12)
 
+    # A stroke that ran out of steps fails the check that integrated it.
     ok_adj = True
     for tau in [0.02, 0.1, 0.3, 0.6, 1.0]:
-        ue_dag = _adjoint(evolve_expansion(tau, freqs).U)
-        uc = integrate_compression(tau, freqs).U
-        ok_adj &= max(abs(a - b) for a, b in zip(uc, ue_dag)) <= 1e-9
+        ue = evolve_expansion(tau, freqs)
+        uc = integrate_compression(tau, freqs)
+        ok_adj &= ue.converged and uc.converged and max(
+            abs(a - b) for a, b in zip(uc.U, _adjoint(ue.U))) <= 1e-9
     check("compression propagator = adjoint of expansion", ok_adj)
 
-    xi_fast = evolve_expansion(1e-4, freqs).xi
-    xi_slow = evolve_expansion(2.0, freqs).xi
+    fast = evolve_expansion(1e-4, freqs)
+    slow = evolve_expansion(2.0, freqs)
     check("xi limits (sudden 1/2, adiabatic 0)",
-          0.499 <= xi_fast <= 0.5 and xi_slow < 0.01)
+          fast.converged and slow.converged
+          and 0.499 <= fast.xi <= 0.5 and slow.xi < 0.01)
 
     en = cycle_energetics(CycleInputs(freqs, 0.4, 0.8, 0.0))
     check("adiabatic efficiency 1 - nu_c/nu_h",

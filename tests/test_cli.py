@@ -382,7 +382,7 @@ class TestErrorsAndVerify:
         (("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--ph-points", "20000",
           "--pc-points", "20000"),
          f"phase map has 400000000 cells, more than {MAX_POINTS}"),
-    ])
+    ], ids=["xi-points", "tau-sweep-points", "phase-map-cells"])
     def test_oversized_grid_is_refused_at_once(self, argv, message):
         start = time.perf_counter()
         code, out, err = run_cli(*argv)

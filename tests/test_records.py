@@ -146,98 +146,153 @@ class TestConstruction:
 NAN, INF = math.nan, math.inf
 
 
-@pytest.mark.parametrize("build, exc, match", [
-    (lambda: Matrix2(NAN, 0, 0, 1), ConstraintViolation, "finite"),
-    (lambda: Matrix2(1, complex(0, INF), 0, 1), ConstraintViolation, "finite"),
-    (lambda: Unitary2(INF, 0, 0, 1), ConstraintViolation, "finite"),
-    (lambda: Hermitian2(1, 1j, 1j, 1), ConstraintViolation, "not conjugate"),
-    (lambda: Hermitian2(1j, 0, 0, 1), ConstraintViolation, "not real"),
-    (lambda: Unitary2(1, 1, 0, 1), ConstraintViolation, "not unitary"),
-    (lambda: Density2(0.5, 0.1, 0.2, 0.5), ConstraintViolation, "not Hermitian"),
-    (lambda: Density2(0.5 + 0.1j, 0.2, 0.2, 0.5 - 0.1j), ConstraintViolation,
+# (test id, build, exception, message pattern); the ids name the cases,
+# so editing a message renames no test.
+VALIDATION_ERRORS = [
+    ("matrix-nan",
+     lambda: Matrix2(NAN, 0, 0, 1), ConstraintViolation, "finite"),
+    ("matrix-inf-imag",
+     lambda: Matrix2(1, complex(0, INF), 0, 1), ConstraintViolation, "finite"),
+    ("unitary-inf",
+     lambda: Unitary2(INF, 0, 0, 1), ConstraintViolation, "finite"),
+    ("hermitian-not-conjugate",
+     lambda: Hermitian2(1, 1j, 1j, 1), ConstraintViolation, "not conjugate"),
+    ("hermitian-complex-diagonal",
+     lambda: Hermitian2(1j, 0, 0, 1), ConstraintViolation, "not real"),
+    ("unitary-not-unitary",
+     lambda: Unitary2(1, 1, 0, 1), ConstraintViolation, "not unitary"),
+    ("density-not-hermitian",
+     lambda: Density2(0.5, 0.1, 0.2, 0.5), ConstraintViolation, "not Hermitian"),
+    ("density-complex-diagonal",
+     lambda: Density2(0.5 + 0.1j, 0.2, 0.2, 0.5 - 0.1j), ConstraintViolation,
      "diagonal entries are not real"),
-    (lambda: Density2(0.6, 0, 0, 0.6), ConstraintViolation, "trace is not 1"),
-    (lambda: Density2(1.5, 0, 0, -0.5), ConstraintViolation, "negative eigenvalue"),
-    (lambda: CycleFrequencies(0.0, 1.0), DomainError, "nu_c must be positive"),
-    (lambda: CycleFrequencies(NAN, 1.0), DomainError, "nu_c must be positive"),
-    (lambda: CycleFrequencies(2.0, 2.0), DomainError, "nu_h must be finite and exceed"),
-    (lambda: CycleFrequencies(2.0, INF), DomainError, "nu_h must be finite and exceed"),
-    (lambda: CFG.resolve_steps(0.0, FREQS), DomainError,
+    ("density-trace",
+     lambda: Density2(0.6, 0, 0, 0.6), ConstraintViolation, "trace is not 1"),
+    ("density-negative-eigenvalue",
+     lambda: Density2(1.5, 0, 0, -0.5), ConstraintViolation, "negative eigenvalue"),
+    ("nu-c-zero",
+     lambda: CycleFrequencies(0.0, 1.0), DomainError, "nu_c must be positive"),
+    ("nu-c-nan",
+     lambda: CycleFrequencies(NAN, 1.0), DomainError, "nu_c must be positive"),
+    ("nu-h-equal",
+     lambda: CycleFrequencies(2.0, 2.0), DomainError, "nu_h must be finite and exceed"),
+    ("nu-h-inf",
+     lambda: CycleFrequencies(2.0, INF), DomainError, "nu_h must be finite and exceed"),
+    ("resolve-tau-zero", lambda: CFG.resolve_steps(0.0, FREQS), DomainError,
      "tau must be positive"),
-    (lambda: CFG.resolve_steps(NAN, FREQS), DomainError,
+    ("resolve-tau-nan", lambda: CFG.resolve_steps(NAN, FREQS), DomainError,
      "tau must be positive"),
-    (lambda: CFG.resolve_steps(INF, FREQS), DomainError,
+    ("resolve-tau-inf", lambda: CFG.resolve_steps(INF, FREQS), DomainError,
      "tau must be positive and finite"),
-    (lambda: gibbs_population(INF), DomainError, "exponent must be finite"),
-    (lambda: gibbs_population(NAN), DomainError, "exponent must be finite"),
-    (lambda: IntegratorConfig(xi_tolerance=0.0), DomainError, "xi_tolerance"),
-    (lambda: IntegratorConfig(xi_tolerance=0.02), DomainError, "xi_tolerance"),
-    (lambda: IntegratorConfig(xi_tolerance=1e-15), DomainError,
+    ("exponent-inf",
+     lambda: gibbs_population(INF), DomainError, "exponent must be finite"),
+    ("exponent-nan",
+     lambda: gibbs_population(NAN), DomainError, "exponent must be finite"),
+    ("xi-tol-zero",
+     lambda: IntegratorConfig(xi_tolerance=0.0), DomainError, "xi_tolerance"),
+    ("xi-tol-large",
+     lambda: IntegratorConfig(xi_tolerance=0.02), DomainError, "xi_tolerance"),
+    ("xi-tol-small", lambda: IntegratorConfig(xi_tolerance=1e-15), DomainError,
      "1e-14, 1e-2"),  # the message names the accepted range
-    (lambda: PropagatorResult(U, 16, 0.0, 0.6), DomainError, "outside"),
-    (lambda: PropagatorResult(U, 16, 0.0, -0.1), DomainError, "outside"),
-    (lambda: CycleInputs(FREQS, -0.1, 0.8, 0.25), DomainError, "p_c must lie"),
-    (lambda: CycleInputs(FREQS, 0.4, 1.1, 0.25), DomainError, "p_h must lie"),
-    (lambda: CycleInputs(FREQS, 0.4, 0.8, 0.6), DomainError, "xi must lie"),
-    (lambda: tau_grid_us(100.0, 10.0, 50), DomainError, "tau_min < tau_max"),
-    (lambda: tau_grid_us(0.0, 1000.0, 50, linear=True), DomainError,
+    ("result-xi-high",
+     lambda: PropagatorResult(U, 16, 0.0, 0.6), DomainError, "outside"),
+    ("result-xi-negative",
+     lambda: PropagatorResult(U, 16, 0.0, -0.1), DomainError, "outside"),
+    ("inputs-pc-negative",
+     lambda: CycleInputs(FREQS, -0.1, 0.8, 0.25), DomainError, "p_c must lie"),
+    ("inputs-ph-high",
+     lambda: CycleInputs(FREQS, 0.4, 1.1, 0.25), DomainError, "p_h must lie"),
+    ("inputs-xi-high",
+     lambda: CycleInputs(FREQS, 0.4, 0.8, 0.6), DomainError, "xi must lie"),
+    ("tau-grid-reversed",
+     lambda: tau_grid_us(100.0, 10.0, 50), DomainError, "tau_min < tau_max"),
+    ("tau-grid-linear-zero",
+     lambda: tau_grid_us(0.0, 1000.0, 50, linear=True), DomainError,
      "tau_min < tau_max"),
-    (lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
+    ("tau-grid-one-point", lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
      r"points must be an int in \[2, "),
-    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.1, 0.0], CFG), DomainError,
+    ("tau-sweep-tau-zero-last",
+     lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.1, 0.0], CFG), DomainError,
      "tau must be positive and finite"),
-    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.0, 1.0], CFG), DomainError,
+    ("tau-sweep-tau-zero-first",
+     lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.0, 1.0], CFG), DomainError,
      "tau must be positive and finite"),
-    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01, INF], CFG), DomainError,
+    ("tau-sweep-tau-inf",
+     lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01, INF], CFG), DomainError,
      "tau must be positive and finite"),
-    (lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01, 1e300], CFG), DomainError,
+    ("tau-sweep-tau-too-long",
+     lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.01, 1e300], CFG), DomainError,
      "too long to integrate"),
-    (lambda: run_tau_sweep(FREQS, 1.5, 0.8, [0.01], CFG), DomainError,
+    ("tau-sweep-pc-high",
+     lambda: run_tau_sweep(FREQS, 1.5, 0.8, [0.01], CFG), DomainError,
      "p_c must lie"),
-    (lambda: run_phase_map(FREQS, [0.5], [0.1, 0.2], 0.25), DomainError,
+    ("map-ph-one-point",
+     lambda: run_phase_map(FREQS, [0.5], [0.1, 0.2], 0.25), DomainError,
      "ph grid must have at least 2 points"),
-    (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.2, 0.1], 0.25), DomainError,
+    ("map-pc-decreasing",
+     lambda: run_phase_map(FREQS, [0.5, 0.6], [0.2, 0.1], 0.25), DomainError,
      "pc grid must be strictly increasing"),
-    (lambda: run_phase_map(FREQS, [0.5, 1.2], [0.1, 0.2], 0.25), DomainError,
+    ("map-ph-high",
+     lambda: run_phase_map(FREQS, [0.5, 1.2], [0.1, 0.2], 0.25), DomainError,
      "ph grid must lie in"),
-    (lambda: run_phase_map(FREQS, [0.5, 0.6], [-0.1, 0.2], 0.25), DomainError,
+    ("map-pc-negative",
+     lambda: run_phase_map(FREQS, [0.5, 0.6], [-0.1, 0.2], 0.25), DomainError,
      "pc grid must lie in"),
-    (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], 0.7), DomainError,
+    ("map-xi-high",
+     lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], 0.7), DomainError,
      "xi must lie"),
-    (lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], NAN), DomainError,
+    ("map-xi-nan",
+     lambda: run_phase_map(FREQS, [0.5, 0.6], [0.1, 0.2], NAN), DomainError,
      "xi must lie"),
-    (lambda: run_tau_sweep(FREQS, 0.4, NAN, [0.01], CFG), DomainError,
+    ("tau-sweep-ph-nan",
+     lambda: run_tau_sweep(FREQS, 0.4, NAN, [0.01], CFG), DomainError,
      "p_h must lie in"),
-    (lambda: zero_friction_pc(NAN, FREQS), DomainError,
+    ("zero-line-nan", lambda: zero_friction_pc(NAN, FREQS), DomainError,
      r"p_h must lie in \[0, 1\]"),
-    (lambda: zero_friction_pc(-0.1, FREQS), DomainError,
+    ("zero-line-negative", lambda: zero_friction_pc(-0.1, FREQS), DomainError,
      r"p_h must lie in \[0, 1\]"),
-    (lambda: zero_friction_pc(1.5, FREQS), DomainError,
+    ("zero-line-high", lambda: zero_friction_pc(1.5, FREQS), DomainError,
      r"p_h must lie in \[0, 1\]"),
-    (lambda: negative_friction_window(NAN, FREQS), DomainError,
+    ("pc-window-nan",
+     lambda: negative_friction_window(NAN, FREQS), DomainError,
      "p_h must lie in"),
-    (lambda: hot_population_window(NAN, FREQS), DomainError, "p_c must lie"),
-    (lambda: entropy_production(NAN, 0.25), DomainError,
+    ("ph-window-nan",
+     lambda: hot_population_window(NAN, FREQS), DomainError, "p_c must lie"),
+    ("entropy-p-nan", lambda: entropy_production(NAN, 0.25), DomainError,
      "population must lie"),
-    (lambda: entropy_production(0.4, NAN), DomainError, "xi must lie"),
-    (lambda: gibbs_state(NAN, "x"), DomainError, "population must lie"),
-    (lambda: linear_spaced(0.5, 0.5, 3), DomainError, "need lo < hi"),
-    *[(lambda t=t: run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25,
+    ("entropy-xi-nan",
+     lambda: entropy_production(0.4, NAN), DomainError, "xi must lie"),
+    ("gibbs-state-nan",
+     lambda: gibbs_state(NAN, "x"), DomainError, "population must lie"),
+    ("linear-spaced-equal",
+     lambda: linear_spaced(0.5, 0.5, 3), DomainError, "need lo < hi"),
+    *[(f"threads-{name}",
+       lambda t=t: run_phase_map(FREQS, [0.2, 0.8], [0.1, 0.4], 0.25,
                                  threads=t), DomainError,
        "threads must be an int in")
-      for t in (0, -1, (os.cpu_count() or 1) + 1, 10**30, True, 1.5, "2",
-                1.0)],
+      for name, t in [("zero", 0), ("negative", -1),
+                      ("cpus-plus-1", (os.cpu_count() or 1) + 1),
+                      ("huge", 10**30), ("bool", True), ("float", 1.5),
+                      ("str", "2"), ("whole-float", 1.0)]],
     # Every count passes one rule, which refuses a count that is not an
     # exact int (bool subclasses int) as well as one out of its range.
-    *[(lambda f=f, n=n: f(1.0, 2.0, n), DomainError,
+    *[(f"{f.__name__}-{name}", lambda f=f, n=n: f(1.0, 2.0, n), DomainError,
        rf"^points must be an int in \[2, {MAX_POINTS}\], "
        rf"got {re.escape(repr(n))}$")
-      for f in (log_spaced, linear_spaced) for n in (2.5, 3.0, True, "3")],
-    *[(lambda n=n: propagate_fixed_steps(0.3, FREQS, n), DomainError,
+      for f in (log_spaced, linear_spaced)
+      for name, n in [("float", 2.5), ("whole-float", 3.0), ("bool", True),
+                      ("str", "3")]],
+    *[(f"steps-{name}", lambda n=n: propagate_fixed_steps(0.3, FREQS, n),
+       DomainError,
        rf"^steps must be an int in \[1, {MAX_STEPS}\], "
        rf"got {re.escape(repr(n))}$")
-      for n in (True, 2.0, "8", 0, MAX_STEPS + 1)],
-])
+      for name, n in [("bool", True), ("whole-float", 2.0), ("str", "8"),
+                      ("zero", 0), ("over-max", MAX_STEPS + 1)]],
+]
+
+
+@pytest.mark.parametrize("build, exc, match", [
+    pytest.param(*row, id=row_id) for row_id, *row in VALIDATION_ERRORS])
 def test_validation_errors_fire(build, exc, match, monkeypatch):
     # No refusal may take an integrator step.
     def no_step(*args):

@@ -1,5 +1,6 @@
-"""The checking path of otto_tls.verify: projectors and Gibbs states."""
+"""The checking path of otto_tls.verify: projectors, Gibbs states, suite."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otto_tls import (Density2, DomainError, Hermitian2, gibbs_state,
-                      projector_excited)
+from otto_tls import (Density2, DomainError, Hermitian2, IntegratorConfig,
+                      gibbs_state, projector_excited, propagator, verify)
 
 from conftest import to_numpy
 
@@ -57,3 +58,25 @@ class TestGibbsState:
         h_c = 2.0 * to_numpy(projector_excited("x"))
         e = np.trace(to_numpy(rho) @ h_c).real
         assert e == pytest.approx(2.0 * p, abs=1e-13)
+
+
+class TestRunSuite:
+    def test_unconverged_stroke_fails_its_check(self, monkeypatch):
+        # The suite's 2 ms stroke starts at 58 steps, so a MAX_STEPS below
+        # 116 refuses it as too long, and at 116 every stroke settles to the
+        # default 1e-9.  At that bound a 1e-14 tolerance leaves strokes of
+        # both integrated checks short of it, and none is refused.
+        monkeypatch.setattr("otto_tls.propagator.MAX_STEPS", 116)
+        tight = IntegratorConfig(xi_tolerance=1e-14)
+        for name in ("evolve_expansion", "integrate_compression"):
+            monkeypatch.setattr(verify, name, functools.partial(
+                getattr(propagator, name), cfg=tight))
+        status, lines = verify.run_suite()
+        assert status == 1
+        # One line per check, in the shape perfbench's VERIFY_CHECKS reads.
+        assert [line[:6] in ("PASS  ", "FAIL  ") for line in lines] == [
+            True] * 8 + [False]
+        assert lines[-1] == "FAILED: 2 failure(s)\n"
+        failed = [line[6:-1] for line in lines if line.startswith("FAIL  ")]
+        assert failed == ["compression propagator = adjoint of expansion",
+                          "xi limits (sudden 1/2, adiabatic 0)"]
