@@ -37,6 +37,7 @@ namespace at call time, so a name patched there is the one called.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -222,13 +223,17 @@ def _ms(tau_us: float) -> float:
 def _tau_grid(args) -> tuple:
     """Stroke durations from --tau-min, --tau-max, --points, --linear.
 
-    Returned in us, as printed, and in ms, as integrated (the one
-    conversion of the grid), with the IntegratorConfig of --xi-tol.
-    xi_sweep checks every stroke before it integrates any.
+    Finite bounds outside 0 < tau_min < tau_max are refused here, the rest
+    by sweep's grid builders.  Returned in us, as printed, and in ms, as
+    integrated (the one conversion), with the IntegratorConfig of --xi-tol.
     """
-    from .sweep import tau_grid_us
+    from .sweep import linear_spaced, log_spaced
 
-    taus_us = tau_grid_us(args.tau_min, args.tau_max, args.points, args.linear)
+    lo, hi = args.tau_min, args.tau_max
+    if math.isfinite(lo) and math.isfinite(hi) and not (0.0 < lo < hi):
+        raise DomainError(f"need 0 < tau_min < tau_max, got {lo}, {hi}")
+    spacing = linear_spaced if args.linear else log_spaced
+    taus_us = spacing(lo, hi, args.points)
     return taus_us, [_ms(t) for t in taus_us], _config(args)
 
 

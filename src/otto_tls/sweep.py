@@ -1,8 +1,8 @@
 """Parameter sweeps: cycle tau-sweeps and the friction map.
 
 Times are in ms, as everywhere below the CLI.  log_spaced and linear_spaced
-build the grids, and tau_grid_us builds the CLI's tau grid (us) from its
-bounds.  Every count here (points, threads) and propagator's step counts
+build unit-free grids from finite bounds, and cli._tau_grid the CLI's tau
+grid.  Every count here (points, threads) and propagator's step counts
 pass the package's one count rule, otto_tls._check_count.  Each sweep
 checks its inputs when it is called: run_tau_sweep the
 populations, leaving the strokes to propagator.xi_sweep, the loop behind
@@ -68,17 +68,6 @@ def linear_spaced(lo: float, hi: float, points: int) -> list[float]:
     grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
     grid[-1] = hi  # lo + (hi - lo) can round above hi
     return grid
-
-
-def tau_grid_us(tau_min: float, tau_max: float, points: int,
-                linear: bool = False) -> list[float]:
-    """Stroke durations (us) from tau bounds: log-spaced, or linear."""
-    _check_finite_bounds(tau_min, tau_max)
-    if not (0.0 < tau_min < tau_max):
-        raise DomainError(
-            f"need 0 < tau_min < tau_max, got {tau_min}, {tau_max}")
-    spacing = linear_spaced if linear else log_spaced
-    return spacing(tau_min, tau_max, points)
 
 
 def run_tau_sweep(freqs: CycleFrequencies, p_c: float, p_h: float,

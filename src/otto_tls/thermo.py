@@ -32,13 +32,8 @@ exactly when p > 1/2.
 
 The cycle operates as an engine when W_net < 0 and Q_h > 0; efficiency
 eta = -W_net/Q_h is reported only in that mode.  There
-D = p_h - p_c - xi (1 - 2 p_c) = Q_h/nu_h is positive, eta is computed in
-its population form
-
-    eta = 1 - (nu_c/nu_h) [p_h - p_c + xi (1 - 2 p_h)] / D,
-
-and it relates to the quasi-static eta_ad = 1 - nu_c/nu_h through two
-exact identities:
+D = p_h - p_c - xi (1 - 2 p_c) = Q_h/nu_h is positive, and eta relates to
+the quasi-static eta_ad = 1 - nu_c/nu_h through two exact identities:
 
     eta - eta_ad = -2 (nu_c/nu_h) xi (1 - p_h - p_c) / D
     d eta / d xi =  2 (nu_c/nu_h) (p_h - p_c) (p_h + p_c - 1) / D^2
@@ -47,7 +42,9 @@ So a finite-time engine beats eta_ad exactly when p_h + p_c > 1, and eta
 rises with xi (a faster cycle is more efficient) exactly when
 (p_h - p_c)(p_h + p_c - 1) > 0, a sign that does not depend on xi.  Both
 need a reservoir with p > 1/2, a negative temperature; de Assis et al.,
-PRL 122, 240602 (2019), observed the effect.
+PRL 122, 240602 (2019), observed the effect.  eta is computed in the gain
+form of the first identity, so both signs hold for the floats given with
+no tolerance; whether eta is reported still rests on rounded Q_h, W_net.
 """
 
 from __future__ import annotations
@@ -183,10 +180,17 @@ def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
     w_net = w_ad + w_fric
 
     mode = _classify(w_net, q_h)
-    # eta = -w_net/q_h = 1 + q_c/q_h, with nu_c/nu_h taken out of the ratio
-    # so that the population brackets keep their digits where the stage
-    # energies are subnormal.
-    eta = 1.0 - (nu_c / nu_h) * (cold / hot) if mode == MODE_ENGINE else None
+    eta = None
+    if mode == MODE_ENGINE:
+        # The gain form eta_ad - g xi/D, on brackets that keep their digits
+        # where the energies are subnormal.  fsum gives g its exact sign;
+        # xi/D = 1/(dp/xi - a_c) is monotone in xi, unlike xi/hot once
+        # p_c > 1/2, which serves only xi = 0 and D within rounding of 0.
+        k = nu_c / nu_h
+        gain = 2.0 * k * math.fsum((1.0, -p_h, -p_c))
+        d_per_xi = dp / xi - a_c if xi else 0.0
+        eta = (1.0 - k) - (gain / d_per_xi if d_per_xi > 0.0
+                           else gain * xi / hot)
     # tuple.__new__ skips the frame of the generated namedtuple __new__,
     # which checks nothing; every phase-map cell comes through here.
     return tuple.__new__(CycleEnergetics, (w_exp, w_comp, q_c, q_h, w_net,

@@ -83,14 +83,16 @@ class TestTauGrid:
                [(r["tau_us"], r["xi"]) for r in sweep_rows]
 
     def test_bad_bounds_give_the_same_message(self):
-        bounds = ("--nu-c", "2", "--nu-h", "3.6", "--tau-min", "100",
-                  "--tau-max", "10")
-        code_xi, _, err_xi = run_cli("xi", *bounds)
-        code_sw, _, err_sw = run_cli("tau-sweep", *bounds, "--pc", "0.4",
-                                     "--ph", "0.8")
-        assert code_xi == code_sw == 1
-        assert err_xi == err_sw == \
-               "otto-tls: need 0 < tau_min < tau_max, got 100.0, 10.0\n"
+        freqs = ("--nu-c", "2", "--nu-h", "3.6")
+        for bounds, got in [(("--tau-min", "100", "--tau-max", "10"),
+                             "100.0, 10.0"),
+                            (("--linear", "--tau-min", "0"), "0.0, 1000.0")]:
+            code_xi, _, err_xi = run_cli("xi", *freqs, *bounds)
+            code_sw, _, err_sw = run_cli("tau-sweep", *freqs, *bounds,
+                                         "--pc", "0.4", "--ph", "0.8")
+            assert code_xi == code_sw == 1
+            assert err_xi == err_sw == \
+                   f"otto-tls: need 0 < tau_min < tau_max, got {got}\n"
 
 
 class TestCycle:

@@ -18,7 +18,7 @@ from otto_tls import (ConstraintViolation, CycleEnergetics, CycleFrequencies,
                       negative_friction_window, run_phase_map, run_tau_sweep,
                       propagate_fixed_steps, zero_friction_pc)
 from otto_tls.propagator import MAX_STEPS
-from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced, tau_grid_us
+from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced
 
 FREQS = CycleFrequencies(2.0, 3.6)
 H = Hermitian2(0.3, 0.2 + 0.1j, 0.2 - 0.1j, -0.4)
@@ -204,13 +204,6 @@ VALIDATION_ERRORS = [
      lambda: CycleInputs(FREQS, 0.4, 1.1, 0.25), DomainError, "p_h must lie"),
     ("inputs-xi-high",
      lambda: CycleInputs(FREQS, 0.4, 0.8, 0.6), DomainError, "xi must lie"),
-    ("tau-grid-reversed",
-     lambda: tau_grid_us(100.0, 10.0, 50), DomainError, "tau_min < tau_max"),
-    ("tau-grid-linear-zero",
-     lambda: tau_grid_us(0.0, 1000.0, 50, linear=True), DomainError,
-     "tau_min < tau_max"),
-    ("tau-grid-one-point", lambda: tau_grid_us(10.0, 1000.0, 1), DomainError,
-     r"points must be an int in \[2, "),
     ("tau-sweep-tau-zero-last",
      lambda: run_tau_sweep(FREQS, 0.4, 0.8, [0.1, 0.0], CFG), DomainError,
      "tau must be positive and finite"),

@@ -503,16 +503,28 @@ class TestWindows:
                 assert en.w_fric >= 0 or abs(en.w_fric) < 1e-12
 
 
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
+
+
+def _step_rule(p_c: float, p_h: float) -> int:
+    """The exact sign of (p_h - p_c)(p_h + p_c - 1) for these floats."""
+    return _sign(p_h - p_c) * _sign(math.fsum((p_h, p_c, -1.0)))
+
+
 class TestEfficiencyEnhancement:
+    # The sign rules hold for the floats given, so they are asserted with
+    # no tolerance: eta - eta_ad never has the sign opposite to
+    # p_h + p_c - 1, eta never steps with xi against the sign of
+    # (p_h - p_c)(p_h + p_c - 1), and both are 0 where their rule is.
     def test_threshold_cases(self):
-        # eta - eta_ad has the sign of p_h + p_c - 1 at every xi > 0: above,
-        # on and below the boundary.
+        # Above, on and below the boundary; the binary 0.3 + 0.7 is just
+        # below 1, and eta_ad is the nearest float to its eta.
         eta_ad = adiabatic_efficiency(FREQS)
         for p_c, p_h, sign in [(0.4, 0.8, 1), (0.3, 0.7, 0), (0.2, 0.4, -1)]:
             en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, 0.01))
             assert en.is_engine
-            gap = en.eta - eta_ad
-            assert (gap > 1e-12) - (gap < -1e-12) == sign
+            assert _sign(en.eta - eta_ad) == sign
 
     def test_eta_above_adiabatic_when_condition_holds(self):
         eta_ad = adiabatic_efficiency(FREQS)
@@ -537,6 +549,43 @@ class TestEfficiencyEnhancement:
             assert len(etas) > 10
             assert all(b > a for a, b in zip(etas, etas[1:]))
 
+    def test_eta_rises_with_xi_next_to_the_boundary(self):
+        # p_h + p_c exceeds 1 by 3.4e-15, so eta rises with xi; computed
+        # as 1 - k cold/hot it fell by an ulp over this step.
+        p_c, p_h = 0.08093648460284711, 0.9190635153971562
+        assert _step_rule(p_c, p_h) == 1
+        low, high = (cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi)).eta
+                     for xi in (0.3050847457627119, 0.3135593220338983))
+        assert high > low
+
+    @pytest.mark.parametrize("p_c, p_h", [
+        (0.83, 0.81), (0.55, 0.53), (0.73, 0.72), (0.66, 0.65), (0.85, 0.63),
+        (0.4, 0.8)])
+    def test_eta_follows_the_rule_between_adjacent_xi(self, p_c, p_h):
+        # Steps of one ulp in xi, where rounding is largest against the
+        # step; with p_c > 1/2, xi/D from xi/hot went against the rule here.
+        etas = []
+        for k in range(1, 50):
+            xi = 0.01 * k
+            for _ in range(8):
+                en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
+                if en.is_engine:
+                    etas.append(en.eta)
+                xi = math.nextafter(xi, 1.0)
+        assert len(etas) > 100
+        rule = _step_rule(p_c, p_h)
+        assert all(_sign(b - a) in (0, rule) for a, b in zip(etas, etas[1:]))
+
+    def test_eta_where_q_h_is_within_rounding_of_zero(self):
+        # The decimal inputs put p_h on the line D = 0, which the binary
+        # ones miss by 4e-18: q_h is 2.5e-17, D/xi rounds to 0, and eta
+        # comes from xi/hot, huge and above eta_ad as p_h + p_c > 1.
+        p_c, p_h, xi = 0.752, 0.689504, 0.124
+        assert (p_h - p_c) / xi - (1.0 - 2.0 * p_c) == 0.0
+        en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
+        assert en.is_engine
+        assert 1e15 < en.eta < math.inf
+
     @given(unit_interval, unit_interval, xis, xis,
            st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=300, deadline=None)
@@ -550,6 +599,7 @@ class TestEfficiencyEnhancement:
         freqs = CycleFrequencies(3.6 * ratio, 3.6)
         k = freqs.nu_c / freqs.nu_h
         eta_ad = adiabatic_efficiency(freqs)
+        gain_rule = _sign(math.fsum((p_h, p_c, -1.0)))
         points = []
         for xi in (xi_a, xi_b):
             en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
@@ -560,8 +610,7 @@ class TestEfficiencyEnhancement:
                         (abs(en.w_exp) + abs(en.w_comp)) / en.q_h)
             gain = -2.0 * k * (1.0 - p_h - p_c) * (xi / d)
             assert abs((en.eta - eta_ad) - gain) <= 1e-12 * scale
-            if abs(gain) > 1e-12 * scale:
-                assert (en.eta > eta_ad) == (p_h + p_c > 1.0)
+            assert _sign(en.eta - eta_ad) in (0, gain_rule)
             points.append((xi, en.eta, d, scale))
         (xi_a, eta_a, d_a, s_a), (xi_b, eta_b, d_b, s_b) = points
         rule = (p_h - p_c) * (p_h + p_c - 1.0)
@@ -569,13 +618,12 @@ class TestEfficiencyEnhancement:
         step = 2.0 * k * rule * (xi_b - xi_a) / d_a / d_b
         tol = 1e-12 * (s_a + s_b)
         assert abs((eta_b - eta_a) - step) <= tol
-        if abs(step) > tol:
-            # The sign of d eta / d xi is the sign of the rule at every xi,
-            # and eta can only rise with xi when some population is > 1/2.
-            rising = (eta_b - eta_a) * (xi_b - xi_a) > 0.0
-            assert rising == (rule > 0.0)
-            if rising:
-                assert max(p_c, p_h) > 0.5
+        # The sign of d eta / d xi is the sign of the rule at every xi, and
+        # eta can only rise with xi when some population is > 1/2.
+        rising = _sign(eta_b - eta_a) * _sign(xi_b - xi_a)
+        assert rising in (0, _step_rule(p_c, p_h))
+        if rising > 0:
+            assert max(p_c, p_h) > 0.5
 
     def test_positive_temperatures_never_beat_adiabatic(self):
         eta_ad = adiabatic_efficiency(FREQS)
@@ -583,4 +631,4 @@ class TestEfficiencyEnhancement:
             xi = 0.5 * k / 50
             en = cycle_energetics(CycleInputs(FREQS, 0.2, 0.4, xi))
             if en.is_engine:
-                assert en.eta <= eta_ad + 1e-12
+                assert en.eta <= eta_ad
