@@ -15,7 +15,8 @@ output starts with a '#' comment line naming the units and is byte-stable
 for identical inputs; a field holding a comma or a double quote is quoted
 as in RFC 4180.  Exit codes: 0 success; 1 a domain error, a verification
 or convergence failure, or stdout closed early (a broken pipe); 2 argument
-errors and an output file that cannot be written.
+errors and an output that cannot be written, a file or stdout (full, or
+closed when the program started).
 
 Each subparser names its `_cmd_*` function with set_defaults(run=...),
 argparse's dispatch idiom, so the parser is the one list of subcommands.
@@ -68,16 +69,35 @@ def _csv(header: Sequence[str], rows):
         yield ",".join(_fmt(v) for v in row) + "\n"
 
 
+def _stdout_to_devnull() -> None:
+    # So that the final flush at exit fails no more: the recipe of the
+    # Python docs (the signal module's note on SIGPIPE).
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write(path: str | None, lines) -> None:
-    """Write lines to stdout (path None or '-') or to the file at path."""
+    """Write lines to stdout (path None or '-') or to the file at path.
+
+    An output that cannot be written is an argument error: main exits 2.
+    A BrokenPipeError, the reader closing stdout early, passes to main.
+    """
     if path is None or path == "-":
-        sys.stdout.writelines(lines)
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise ValueError("cannot write stdout: it is closed")
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()  # so a failed write shows here, not at exit
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            _stdout_to_devnull()
+            raise ValueError(
+                f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
     except OSError as exc:
-        # An unwritable --output is an argument error: main exits 2.
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
@@ -182,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ph-points", type=int, default=50,
                    help="number of hot populations, at least 2 (default 50)")
     p.add_argument("--pc-min", type=float, default=0.02,
-                   help="smallest cold population, in [0, 1/2] (default 0.02)")
+                   help="smallest cold population, in [0, 1] (default 0.02)")
     p.add_argument("--pc-max", type=float, default=0.49,
-                   help="largest cold population, in [0, 1/2] (default 0.49)")
+                   help="largest cold population, in [0, 1] (default 0.49)")
     p.add_argument("--pc-points", type=int, default=50,
                    help="number of cold populations, at least 2 (default 50)")
     p.add_argument("--threads", type=int, default=None,
@@ -360,13 +380,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         status, lines = args.run(args)
         _write(getattr(args, "output", None), lines)  # verify has no -o
-        sys.stdout.flush()  # so a closed pipe shows here, not at exit
-    except BrokenPipeError:
-        # The reader closed stdout early.  Recipe from the Python docs (the
-        # signal module's note on SIGPIPE): point stdout at devnull, so that
-        # the interpreter's final flush does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout early
+        _stdout_to_devnull()
         return 1
     except (OttoError, ValueError) as exc:
         # DomainError is both, and exits 1.

@@ -101,8 +101,8 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
 
     The sign structure of the friction work does not depend on the stroke
     duration, so xi enters only as a magnitude.  Each grid needs at least
-    2 strictly increasing points, p_h in [0, 1] and p_c in [0, 1/2], and
-    the two hold at most MAX_POINTS cells together; xi lies in [0, 1/2].
+    2 strictly increasing points in [0, 1], as CycleInputs' populations,
+    and the two hold at most MAX_POINTS cells; xi lies in [0, 1/2].
     The cells run on a pool of threads workers, serially at 1; threads
     None means os.cpu_count(), and any other value must be an int in [1,
     that count], checked after the grids and xi and before any thread
@@ -112,14 +112,14 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     is smaller than the grid resolution maps into energy units; the bracket
     is evaluated here because w_fric = xi * bracket loses it at xi = 0.
     """
-    for name, grid, hi in (("ph", ph_values, 1.0), ("pc", pc_values, 0.5)):
+    for name, grid in (("ph", ph_values), ("pc", pc_values)):
         if len(grid) < 2:
             raise DomainError(f"{name} grid must have at least 2 points")
         # Written so that NaN anywhere in the grid fails one of the tests.
         if not all(a < b for a, b in zip(grid, grid[1:])):
             raise DomainError(f"{name} grid must be strictly increasing")
-        if not (0.0 <= grid[0] and grid[-1] <= hi):
-            raise DomainError(f"{name} grid must lie in [0, {hi}]")
+        for x in (grid[0], grid[-1]):
+            _check_population(x, f"{name} grid")
     count = len(ph_values) * len(pc_values)
     if count > MAX_POINTS:
         raise DomainError(

@@ -220,24 +220,21 @@ def zero_friction_pc(p_h: float, freqs: CycleFrequencies) -> float:
 
 
 def negative_friction_window(
-        p_h: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
-    """Cold-population interval giving negative friction work, or None.
+        p_h: float, freqs: CycleFrequencies) -> tuple[float, float]:
+    """Cold-population interval (p_c*, 1] giving negative friction work.
 
-    For an inverted hot reservoir (p_h > 1/2) the window is
-    ((1/2)(1 + (1 - 2 p_h) nu_c/nu_h), 1/2); without inversion it is empty.
-    Its lower bound is zero_friction_pc, which checks p_h.
+    p_c* = zero_friction_pc(p_h, freqs), which checks p_h, lies in
+    [(1 - nu_c/nu_h)/2, (1 + nu_c/nu_h)/2], inside (0, 1), so the window
+    is never empty; it reaches below 1/2 exactly when p_h > 1/2.
     """
-    lower = zero_friction_pc(p_h, freqs)
-    if lower >= 0.5:
-        return None
-    return (lower, 0.5)
+    return (zero_friction_pc(p_h, freqs), 1.0)
 
 
 def hot_population_window(
         p_c: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
     """Hot-population interval giving negative friction work, or None.
 
-    Companion of negative_friction_window, with p_c checked here:
+    Companion of negative_friction_window on [0, 1], p_c checked here:
     ((1/2)(1 + (1 - 2 p_c) nu_h/nu_c), 1], empty when the bound reaches 1.
     The bound falls below 0 once p_c > (1 + nu_c/nu_h)/2; then every p_h
     in [0, 1] gives negative friction, and the lower end is clamped to 0.

@@ -222,7 +222,7 @@ def run_suite() -> tuple[int, list[str]]:
 
     w = negative_friction_window(0.8, freqs)
     check("negative-friction window lower bound 1/3",
-          w is not None and abs(w[0] - 1.0 / 3.0) <= 1e-12)
+          abs(w[0] - 1.0 / 3.0) <= 1e-12)
 
     # A stroke that ran out of steps fails the check that integrated it.
     ok_adj = True

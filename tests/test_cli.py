@@ -6,6 +6,7 @@ import inspect
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -319,13 +320,15 @@ class TestWindows:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0]["lower"]) == pytest.approx(1 / 3, abs=1e-12)
-        assert float(rows[0]["upper"]) == 0.5
+        assert rows[0]["upper"] == "1"
         assert rows[0]["empty"] == "0"
 
     def test_empty_window(self):
+        # The p_c window is never empty; the p_h window of p_c = 0.1 is.
         code, out, _ = run_cli("windows", "--nu-c", "2", "--nu-h", "3.6",
-                               "--ph", "0.3")
+                               "--pc", "0.1")
         _, rows = parse_csv(out)
+        assert rows[0]["window_for"] == "p_h"
         assert rows[0]["empty"] == "1"
 
     def test_requires_a_population(self):
@@ -565,6 +568,35 @@ class TestErrorsAndVerify:
         assert proc.returncode == 1
         assert err == b""
 
+    # A stdout that cannot be written is one line and exit 2, as an
+    # unwritable --output is, with nothing more at the final flush.
+    STDOUT_COMMANDS = [("verify",), ("xi", "--nu-c", "2", "--nu-h", "3.6",
+                                     "--points", "3"),
+                       ("phase-map", "--nu-c", "2", "--nu-h", "3.6")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_full_stdout_one_line_exit_2(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "otto_tls.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True, env=child_env(),
+                timeout=60)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("otto-tls: cannot write stdout: ")
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="needs sh")
+    @pytest.mark.parametrize("argv", STDOUT_COMMANDS)
+    def test_closed_stdout_one_line_exit_2(self, argv):
+        proc = subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m",
+             "otto_tls.cli", *argv],
+            stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "otto-tls: cannot write stdout: it is closed\n"
+
     def test_verify_passes(self):
         code, out, _ = run_cli("verify")
         assert code == 0
@@ -622,6 +654,7 @@ def argvs(draw):
         argv += one_of("--xi", "--tau")
     if command == "phase-map":
         argv += opts("--xi", "--tau")[:1]
+        argv += opts("--ph-min", "--ph-max", "--pc-min", "--pc-max")
         argv += ["--ph-points", draw(COUNTS), "--pc-points", draw(COUNTS)]
         if draw(st.booleans()):
             argv += ["--threads", draw(THREADS)]

@@ -61,7 +61,8 @@ CASES = [
      (*CYCLE, "--pc", "0.4", "--uh=-1e3", "--xi", "0.1"), False, False),
     ("windows", ("windows", *FREQS, "--ph", "0.8", "--pc", "0.4"),
      False, False),
-    ("windows-empty", ("windows", *FREQS, "--ph", "0.3"), False, False),
+    ("windows-empty", ("windows", *FREQS, "--ph", "0.3", "--pc", "0.1"),
+     False, False),
     ("windows-no-population", ("windows", *FREQS), False, False),
     ("phase-map-small",
      ("phase-map", *FREQS, "--xi", "0.2", "--ph-points", "6",

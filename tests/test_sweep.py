@@ -189,7 +189,7 @@ class TestPhaseMap:
     def test_sign_agrees_with_window(self):
         for row in self.rows():
             w = negative_friction_window(row.p_h, FREQS)
-            inside = w is not None and w[0] < row.p_c < w[1]
+            inside = w[0] < row.p_c <= w[1]
             assert (row.w_fric < 0) == inside
 
     def test_zero_line_through_reference_point(self):
@@ -200,7 +200,7 @@ class TestPhaseMap:
 
     def test_grid_validation(self, monkeypatch):
         for ph, pc in (([0.5], [0.1, 0.2]), ([0.5, 0.4], [0.1, 0.2]),
-                       ([0.5, 0.8], [0.1, 0.6]), ([-0.1, 0.8], [0.1, 0.2]),
+                       ([0.5, 0.8], [0.1, 1.5]), ([-0.1, 0.8], [0.1, 0.2]),
                        ([0.5, 0.8], [-1e-9, 0.2])):
             with pytest.raises(DomainError):
                 run_phase_map(FREQS, ph, pc, 0.25)
@@ -215,6 +215,8 @@ class TestPhaseMap:
                 "^phase map has 8 cells, more than 6$")):
             run_phase_map(FREQS, ph, linear_spaced(0.0, 0.5, 4), 0.25)
         monkeypatch.undo()
+        # The p_c grid spans [0, 1], as cycle's populations do.
+        assert len(run_phase_map(FREQS, [0.5, 0.8], [0.1, 0.6], 0.25)) == 4
         # Grids may start at the zero-temperature population p = 0.
         rows = run_phase_map(FREQS, [0.0, 1.0], [0.0, 0.5], 0.25)
         assert [(r.p_h, r.p_c) for r in rows] == \

@@ -461,17 +461,20 @@ class TestFrictionFromDivergence:
 class TestWindows:
     def test_reference_window_value(self):
         w = negative_friction_window(0.8, FREQS)
-        assert w is not None
         assert w[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert w[1] == 0.5
+        assert w[1] == 1.0
 
     def test_full_inversion(self):
         w = negative_friction_window(1.0, FREQS)
         assert w[0] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
-    def test_no_inversion_no_window(self):
-        assert negative_friction_window(0.5, FREQS) is None
-        assert negative_friction_window(0.3, FREQS) is None
+    def test_no_hot_inversion_window_above_half(self):
+        # Without an inverted hot reservoir, negative friction needs an
+        # inverted cold one: the window starts at or above 1/2.
+        assert negative_friction_window(0.5, FREQS) == (0.5, 1.0)
+        w = negative_friction_window(0.3, FREQS)
+        assert w[0] == pytest.approx(0.5 * (1 + 0.4 * 2 / 3.6), abs=1e-12)
+        assert w[1] == 1.0
 
     def test_hot_window_companion(self):
         w = hot_population_window(0.4, FREQS)
@@ -488,19 +491,24 @@ class TestWindows:
         assert en.w_fric < 0
 
     def test_sign_theorem(self):
-        # w_fric < 0 iff p_c lies inside the window (for xi > 0).
+        # For xi > 0, w_fric < 0 iff p_c lies inside the p_c window, and
+        # iff p_h lies inside the p_h window, over the whole square; the
+        # p_c window reaches below 1/2 exactly when p_h > 1/2.
         rng = random.Random(31)
         for _ in range(1000):
             p_h = rng.uniform(0.01, 0.999)
-            p_c = rng.uniform(0.01, 0.499)
+            p_c = rng.uniform(0.01, 0.999)
             xi = rng.uniform(1e-6, 0.5)
             en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
             w = negative_friction_window(p_h, FREQS)
-            inside = w is not None and w[0] < p_c < w[1]
-            if inside:
-                assert en.w_fric < 0
-            else:
-                assert en.w_fric >= 0 or abs(en.w_fric) < 1e-12
+            assert (w[0] < 0.5) == (p_h > 0.5)
+            w_h = hot_population_window(p_c, FREQS)
+            for inside in (w[0] < p_c <= w[1],
+                           w_h is not None and w_h[0] < p_h <= w_h[1]):
+                if inside:
+                    assert en.w_fric < 0
+                else:
+                    assert en.w_fric >= 0 or abs(en.w_fric) < 1e-12
 
 
 def _sign(x: float) -> int:
