@@ -10,8 +10,9 @@ check them.
 Importing the package loads none of its submodules: each public name is
 imported from its home module on first access (PEP 562), so a CLI call
 compiles only the modules its subcommand runs.  The two production error
-types and the one count rule, _check_count, are defined here, since the
-modules share them; the matrix role error, ConstraintViolation, is in complex2.
+types, the one count rule, _check_count, and the one range rule of xi,
+_check_xi, are defined here, since the modules share them; the matrix role
+error, ConstraintViolation, is in complex2.
 """
 
 __version__ = "0.1.0"
@@ -34,6 +35,12 @@ def _check_count(name: str, n: object, lo: int, hi: int) -> None:
         raise DomainError(f"{name} must be an int in [{lo}, {hi}], got {n!r}")
 
 
+def _check_xi(xi: float) -> None:
+    """The one range rule of a transition probability: xi in [0, 1/2]."""
+    if not (0.0 <= xi <= 0.5):
+        raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
+
+
 # The home module of each public name defined elsewhere; __all__ and the
 # lookup both read it.
 _HOMES = {
@@ -44,11 +51,10 @@ _HOMES = {
                   "transition_probability xi_sweep",
     "thermo": "CycleFrequencies gibbs_population exponent_from_population "
               "CycleInputs CycleEnergetics cycle_energetics "
-              "entropy_production negative_friction_window "
-              "hot_population_window adiabatic_efficiency zero_friction_pc",
+              "entropy_production hot_population_window "
+              "adiabatic_efficiency zero_friction_pc",
     "sweep": "PhaseMapRow run_tau_sweep run_phase_map",
-    "verify": "energetics_from_states relative_entropy gibbs_state "
-              "projector_excited",
+    "verify": "energetics_from_states relative_entropy gibbs_state",
 }
 _HOME = {name: module for module, names in _HOMES.items()
          for name in names.split()}

@@ -295,11 +295,13 @@ def _cmd_xi(args) -> tuple:
 
 
 def _cmd_cycle(args) -> tuple:
-    from .thermo import (CycleFrequencies, CycleInputs, adiabatic_efficiency,
-                         cycle_energetics)
+    from .thermo import (CycleFrequencies, CycleInputs, _check_population,
+                         adiabatic_efficiency, cycle_energetics)
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     p_c, p_h = _populations(args)
+    _check_population(p_c, "p_c")  # before --tau integrates a stroke
+    _check_population(p_h, "p_h")
     xi = _xi(args, freqs)
     en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
     lines = [UNITS_COMMENT + "\n"]
@@ -331,12 +333,13 @@ def _cmd_tau_sweep(args) -> tuple:
 
 
 def _cmd_phase_map(args) -> tuple:
-    from .sweep import linear_spaced, run_phase_map
+    from .sweep import _check_map_inputs, linear_spaced, run_phase_map
     from .thermo import CycleFrequencies, zero_friction_pc
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     ph_values = linear_spaced(args.ph_min, args.ph_max, args.ph_points)
     pc_values = linear_spaced(args.pc_min, args.pc_max, args.pc_points)
+    _check_map_inputs(ph_values, pc_values, args.threads)  # before --tau
     rows = run_phase_map(freqs, ph_values, pc_values, _xi(args, freqs),
                          threads=args.threads)
     out = [("grid", r.p_h, r.p_c, r.w_fric, r.mode, r.on_zero_line)
@@ -349,19 +352,20 @@ def _cmd_phase_map(args) -> tuple:
 
 def _cmd_windows(args) -> tuple:
     from .thermo import (CycleFrequencies, hot_population_window,
-                         negative_friction_window)
+                         zero_friction_pc)
 
     freqs = CycleFrequencies(args.nu_c, args.nu_h)
     if args.ph is None and args.pc is None:
         raise ValueError("windows: provide --ph and/or --pc")  # exits 2
+    # The p_c window (p_c*, 1] is never empty; the p_h window may be.
     rows = []
-    for window_for, given, window in (
-            ("p_c", args.ph, negative_friction_window),
-            ("p_h", args.pc, hot_population_window)):
-        if given is not None:
-            w = window(given, freqs)
-            rows.append((window_for, given,
-                         w[0] if w else "", w[1] if w else "", w is None))
+    if args.ph is not None:
+        rows.append(("p_c", args.ph, zero_friction_pc(args.ph, freqs), 1.0,
+                     False))
+    if args.pc is not None:
+        w = hot_population_window(args.pc, freqs)
+        rows.append(("p_h", args.pc, w[0] if w else "", w[1] if w else "",
+                     w is None))
     return 0, _csv(["window_for", "given", "lower", "upper", "empty"], rows)
 
 

@@ -31,7 +31,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import DomainError, _check_count
+from . import DomainError, _check_count, _check_xi
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # the integrator loads no model module
@@ -96,17 +96,19 @@ class PropagatorResult(namedtuple("PropagatorResult",
     pass's, the estimate at or above the tolerance.  xi is |amp|^2 >= 0,
     and rounding can take it just past 1/2 in the sudden limit: a value
     within XI_MAX_SLACK of 1/2 is stored as 1/2, so every consumer sees xi
-    in [0, 1/2].  Larger values and NaN raise DomainError.
+    in [0, 1/2].  The package's one xi rule, otto_tls._check_xi, then
+    refuses larger values and NaN with DomainError.
     """
 
     __slots__ = ()
 
     def __new__(cls, U: tuple[complex, ...], steps_used: int,
                 xi_error_estimate: float, xi: float, converged: bool = True):
-        if not (0.0 <= xi <= 0.5 + XI_MAX_SLACK):
-            raise DomainError(f"xi={xi} outside [0, 1/2]")
-        return tuple.__new__(cls, (U, steps_used, xi_error_estimate,
-                                   min(xi, 0.5), converged))
+        if xi <= 0.5 + XI_MAX_SLACK:
+            xi = min(xi, 0.5)
+        _check_xi(xi)
+        return tuple.__new__(cls, (U, steps_used, xi_error_estimate, xi,
+                                   converged))
 
 
 _EIGHTH_TURN = complex(math.cos(0.25 * math.pi), math.sin(0.25 * math.pi))

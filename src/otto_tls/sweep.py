@@ -28,9 +28,9 @@ import os
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import DomainError, _check_count
+from . import DomainError, _check_count, _check_xi
 from .thermo import (CycleEnergetics, CycleFrequencies, CycleInputs,
-                     _check_population, _check_xi, cycle_energetics)
+                     _check_population, cycle_energetics)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # run_tau_sweep imports propagator when it runs
@@ -94,24 +94,9 @@ class PhaseMapRow(namedtuple("PhaseMapRow",
     __slots__ = ()
 
 
-def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
-                  pc_values: Sequence[float], xi: float,
-                  threads: int | None = None) -> list[PhaseMapRow]:
-    """Friction work on the (p_h, p_c) grid at xi, row-major in p_h then p_c.
-
-    The sign structure of the friction work does not depend on the stroke
-    duration, so xi enters only as a magnitude.  Each grid needs at least
-    2 strictly increasing points in [0, 1], as CycleInputs' populations,
-    and the two hold at most MAX_POINTS cells; xi lies in [0, 1/2].
-    The cells run on a pool of threads workers, serially at 1; threads
-    None means os.cpu_count(), and any other value must be an int in [1,
-    that count], checked after the grids and xi and before any thread
-    starts.
-    w_fric and mode are those of cycle_energetics.  A cell is marked
-    on_zero_line when the friction bracket nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)
-    is smaller than the grid resolution maps into energy units; the bracket
-    is evaluated here because w_fric = xi * bracket loses it at xi = 0.
-    """
+def _check_map_inputs(ph_values: Sequence[float],
+                      pc_values: Sequence[float], threads: int | None) -> int:
+    """run_phase_map's checks of its grids and threads; the thread count."""
     for name, grid in (("ph", ph_values), ("pc", pc_values)):
         if len(grid) < 2:
             raise DomainError(f"{name} grid must have at least 2 points")
@@ -124,10 +109,32 @@ def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
     if count > MAX_POINTS:
         raise DomainError(
             f"phase map has {count} cells, more than {MAX_POINTS}")
-    _check_xi(xi)
     cpus = os.cpu_count() or 1
     threads = cpus if threads is None else threads
     _check_count("threads", threads, 1, cpus)  # before any OS thread starts
+    return threads
+
+
+def run_phase_map(freqs: CycleFrequencies, ph_values: Sequence[float],
+                  pc_values: Sequence[float], xi: float,
+                  threads: int | None = None) -> list[PhaseMapRow]:
+    """Friction work on the (p_h, p_c) grid at xi, row-major in p_h then p_c.
+
+    The sign structure of the friction work does not depend on the stroke
+    duration, so xi enters only as a magnitude.  Each grid needs at least
+    2 strictly increasing points in [0, 1], as CycleInputs' populations,
+    and the two hold at most MAX_POINTS cells; xi lies in [0, 1/2].
+    The cells run on a pool of threads workers, serially at 1; threads
+    None means os.cpu_count(), and any other value must be an int in [1,
+    that count].  The grids and threads are checked first, then xi, all
+    before any thread starts.
+    w_fric and mode are those of cycle_energetics.  A cell is marked
+    on_zero_line when the friction bracket nu_h (1 - 2 p_c) + nu_c (1 - 2 p_h)
+    is smaller than the grid resolution maps into energy units; the bracket
+    is evaluated here because w_fric = xi * bracket loses it at xi = 0.
+    """
+    threads = _check_map_inputs(ph_values, pc_values, threads)
+    _check_xi(xi)
     nu_c, nu_h = freqs.nu_c, freqs.nu_h
     d_pc = max(b - a for a, b in zip(pc_values, pc_values[1:]))
     d_ph = max(b - a for a, b in zip(ph_values, ph_values[1:]))

@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import DomainError
+from . import DomainError, _check_xi
 
 MODE_ENGINE = "engine"
 MODE_NO_WORK = "not-engine(w_net>=0)"
@@ -104,11 +104,6 @@ def _check_population(p: float, name: str) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {p}")
 
 
-def _check_xi(xi: float) -> None:
-    if not (0.0 <= xi <= 0.5):
-        raise DomainError(f"xi must lie in [0, 1/2], got {xi}")
-
-
 class CycleInputs(namedtuple("CycleInputs", "freqs p_c p_h xi")):
     """Everything the closed-form energetics need.
 
@@ -135,10 +130,6 @@ class CycleEnergetics(namedtuple(
     """
 
     __slots__ = ()
-
-    @property
-    def is_engine(self) -> bool:
-        return self.mode == MODE_ENGINE
 
 
 def _classify(w_net: float, q_h: float) -> str:
@@ -177,6 +168,10 @@ def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
     q_h = nu_h * hot
     w_ad = -dnu * dp
     w_fric = xi * (nu_h * a_c + nu_c * a_h)
+    if not math.isfinite(w_fric):
+        # The bracket overflowed (inf, or NaN at xi = 0); half of it cannot,
+        # and halving is exact where no product is subnormal.
+        w_fric = 2.0 * (xi * (0.5 * nu_h * a_c + 0.5 * nu_c * a_h))
     w_net = w_ad + w_fric
 
     mode = _classify(w_net, q_h)
@@ -186,11 +181,10 @@ def cycle_energetics(inputs: CycleInputs) -> CycleEnergetics:
         # where the energies are subnormal.  fsum gives g its exact sign;
         # xi/D = 1/(dp/xi - a_c) is monotone in xi, unlike xi/hot once
         # p_c > 1/2, which serves only xi = 0 and D within rounding of 0.
-        k = nu_c / nu_h
-        gain = 2.0 * k * math.fsum((1.0, -p_h, -p_c))
+        gain = 2.0 * (nu_c / nu_h) * math.fsum((1.0, -p_h, -p_c))
         d_per_xi = dp / xi - a_c if xi else 0.0
-        eta = (1.0 - k) - (gain / d_per_xi if d_per_xi > 0.0
-                           else gain * xi / hot)
+        eta = adiabatic_efficiency(freqs) - (
+            gain / d_per_xi if d_per_xi > 0.0 else gain * xi / hot)
     # tuple.__new__ skips the frame of the generated namedtuple __new__,
     # which checks nothing; every phase-map cell comes through here.
     return tuple.__new__(CycleEnergetics, (w_exp, w_comp, q_c, q_h, w_net,
@@ -214,28 +208,24 @@ def entropy_production(p: float, xi: float) -> float:
 
 
 def zero_friction_pc(p_h: float, freqs: CycleFrequencies) -> float:
-    """Cold population p_c* = (1/2)(1 + (1 - 2 p_h) nu_c/nu_h) of W_fric = 0."""
+    """Cold population p_c* = (1/2)(1 + (1 - 2 p_h) nu_c/nu_h) of W_fric = 0.
+
+    It is the lower end of the cold-population window (p_c*, 1] that gives
+    negative friction work.  p_c* lies in [(1 - nu_c/nu_h)/2,
+    (1 + nu_c/nu_h)/2], inside (0, 1), so the window is never empty; it
+    reaches below 1/2 exactly when p_h > 1/2.
+    """
     _check_population(p_h, "p_h")
     return 0.5 * (1.0 + (1.0 - 2.0 * p_h) * (freqs.nu_c / freqs.nu_h))
-
-
-def negative_friction_window(
-        p_h: float, freqs: CycleFrequencies) -> tuple[float, float]:
-    """Cold-population interval (p_c*, 1] giving negative friction work.
-
-    p_c* = zero_friction_pc(p_h, freqs), which checks p_h, lies in
-    [(1 - nu_c/nu_h)/2, (1 + nu_c/nu_h)/2], inside (0, 1), so the window
-    is never empty; it reaches below 1/2 exactly when p_h > 1/2.
-    """
-    return (zero_friction_pc(p_h, freqs), 1.0)
 
 
 def hot_population_window(
         p_c: float, freqs: CycleFrequencies) -> tuple[float, float] | None:
     """Hot-population interval giving negative friction work, or None.
 
-    Companion of negative_friction_window on [0, 1], p_c checked here:
-    ((1/2)(1 + (1 - 2 p_c) nu_h/nu_c), 1], empty when the bound reaches 1.
+    Companion of the p_c window (zero_friction_pc, 1], on [0, 1], with p_c
+    checked here: ((1/2)(1 + (1 - 2 p_c) nu_h/nu_c), 1], empty when the
+    bound reaches 1.
     The bound falls below 0 once p_c > (1 + nu_c/nu_h)/2; then every p_h
     in [0, 1] gives negative friction, and the lower end is clamped to 0.
     """

@@ -20,38 +20,33 @@ from .propagator import (_adjoint, evolve_expansion, integrate_compression,
 from .thermo import (MODE_ENGINE, CycleEnergetics, CycleFrequencies,
                      CycleInputs, _check_population, _classify,
                      cycle_energetics, entropy_production,
-                     exponent_from_population, negative_friction_window)
+                     exponent_from_population, zero_friction_pc)
 
 _SUPPORT_EIG_TOL = 1e-14
 _SUPPORT_WEIGHT_TOL = 1e-12
 
 Entries = tuple[complex, complex, complex, complex]  # a11, a12, a21, a22
 
-# The two projectors are immutable, so every caller shares one instance.
+# The rank-1 projectors onto the excited states (1, 1)/sqrt(2) of axis 'x'
+# and (1, i)/sqrt(2) of axis 'y'.
 _PROJECTOR_X = (0.5, 0.5, 0.5, 0.5)
 _PROJECTOR_Y = (0.5, -0.5j, 0.5j, 0.5)
 
 
-def projector_excited(axis: str) -> Entries:
-    """Rank-1 projector onto the excited state of the given axis.
-
-    axis 'x' projects onto (1, 1)/sqrt(2); axis 'y' onto (1, i)/sqrt(2).
-    """
-    if axis == "x":
-        return _PROJECTOR_X
-    if axis == "y":
-        return _PROJECTOR_Y
-    raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
 def gibbs_state(p: float, axis: str) -> Entries:
-    """Thermal state diagonal in the given axis basis.
+    """Thermal state diagonal in the given axis basis, 'x' or 'y'.
 
     rho = (1-p)|-><-| + p|+><+| with |+> the excited state of that axis;
-    p = 0 and p = 1 give the pure ground and excited states.
+    p = 0 and p = 1 give the pure ground and excited states, so
+    gibbs_state(1, axis) is the axis's excited-state projector.
     """
     _check_population(p, "population")
-    a11, a12, a21, a22 = projector_excited(axis)
+    if axis == "x":
+        a11, a12, a21, a22 = _PROJECTOR_X
+    elif axis == "y":
+        a11, a12, a21, a22 = _PROJECTOR_Y
+    else:
+        raise DomainError(f"axis must be 'x' or 'y', got {axis!r}")
     # (1-p)(I - P) + p P = (1-p) I + (2p-1) P
     w = 2.0 * p - 1.0
     return (1.0 - p) + w * a11, w * a12, w * a21, (1.0 - p) + w * a22
@@ -220,9 +215,8 @@ def run_suite() -> tuple[int, list[str]]:
         ok_div &= sigma >= -1e-12
     check("entropy-production route", ok_div)
 
-    w = negative_friction_window(0.8, freqs)
     check("negative-friction window lower bound 1/3",
-          abs(w[0] - 1.0 / 3.0) <= 1e-12)
+          abs(zero_friction_pc(0.8, freqs) - 1.0 / 3.0) <= 1e-12)
 
     # A stroke that ran out of steps fails the check that integrated it.
     ok_adj = True

@@ -14,8 +14,8 @@ from otto_tls import (CycleFrequencies, CycleInputs, IntegratorConfig,
                       Unitary2, adiabatic_efficiency, cycle_energetics,
                       energetics_from_states, evolve_expansion,
                       exponent_from_population, integrate_compression,
-                      negative_friction_window, run_tau_sweep,
-                      transition_probability, xi_sweep)
+                      run_tau_sweep, transition_probability, xi_sweep,
+                      zero_friction_pc)
 from otto_tls.sweep import log_spaced
 from otto_tls.thermo import MODE_ENGINE
 from otto_tls.verify import stroke_divergence
@@ -54,15 +54,14 @@ def test_criterion_2_adiabatic_efficiency():
 
 
 def test_criterion_3_negative_friction_window():
-    w = negative_friction_window(0.8, FREQS)
-    assert w is not None
-    assert abs(w[0] - 1.0 / 3.0) <= 1e-12
+    p_c_star = zero_friction_pc(0.8, FREQS)  # the window is (p_c*, 1]
+    assert abs(p_c_star - 1.0 / 3.0) <= 1e-12
     rng = random.Random(101)
     for _ in range(1000):
         p_c = rng.uniform(1e-3, 0.5 - 1e-9)
         xi = rng.uniform(1e-9, 0.5)
         w_fric = cycle_energetics(CycleInputs(FREQS, p_c, 0.8, xi)).w_fric
-        if w[0] < p_c < w[1]:
+        if p_c_star < p_c <= 1.0:
             assert w_fric < 0.0
         else:
             assert w_fric >= 0.0

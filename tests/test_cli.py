@@ -180,6 +180,14 @@ class TestCycle:
         assert (code, err) == (0, "")
         assert "p_h = 1" in out.splitlines()
 
+    def test_friction_work_near_the_float_maximum(self):
+        code, out, _ = run_cli("cycle", "--nu-c", "1e308", "--nu-h",
+                               "1.7e308", "--pc", "0", "--ph", "0", "--xi",
+                               "0.5")
+        assert code == 0
+        lines = out.splitlines()
+        assert "w_fric = 1.35e+308" in lines and "w_net = 1.35e+308" in lines
+
     def test_no_negative_zero(self):
         # At p_c = p_h and xi = 0, q_c and w_ad are IEEE -0.0.
         code, out, _ = run_cli("cycle", "--nu-c", "2", "--nu-h", "3.6",
@@ -393,6 +401,27 @@ class TestErrorsAndVerify:
         code, out, err = run_cli(*argv)
         assert time.perf_counter() - start < 2.0
         assert (code, out, err) == (1, "", f"otto-tls: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "1.5", "--ph",
+          "0.8", "--tau", "7e7"), "p_c must lie in [0, 1], got 1.5"),
+        (("cycle", "--nu-c", "2", "--nu-h", "3.6", "--pc", "0.4", "--ph",
+          "-0.2", "--tau", "7e7"), "p_h must lie in [0, 1], got -0.2"),
+        (("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--tau", "2e7",
+          "--ph-max", "1.5"), "ph grid must lie in [0, 1], got 1.5"),
+        (("phase-map", "--nu-c", "2", "--nu-h", "3.6", "--tau", "2e7",
+          "--threads", str(CPUS + 1)),
+         f"threads must be an int in [1, {CPUS}], got {CPUS + 1}"),
+    ], ids=["cycle-pc", "cycle-ph", "phase-map-grid-end", "phase-map-threads"])
+    def test_tau_is_integrated_after_every_other_check(self, monkeypatch,
+                                                        argv, message):
+        # A refusal that needs no integration comes before the stroke of
+        # --tau, which may take a minute.
+        def no_step(*args):
+            raise AssertionError("an integrator step was taken")
+
+        monkeypatch.setattr("otto_tls.propagator._propagate_magnus6", no_step)
+        assert run_cli(*argv) == (1, "", f"otto-tls: {message}\n")
 
     @pytest.mark.parametrize("threads", ["0", "-1", str(CPUS + 1), "100000"],
                              ids=["zero", "negative", "cpus-plus-1", "huge"])

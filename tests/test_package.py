@@ -1,4 +1,4 @@
-"""The public API: 33 names, each loaded from its home module on first use."""
+"""The public API: 31 names, each loaded from its home module on first use."""
 
 import importlib
 
@@ -23,8 +23,8 @@ def test_each_name_is_its_home_modules_object():
         assert vars(importlib.import_module(home))[name] is obj, name
 
 
-def test_all_lists_33_distinct_names():
-    assert len(otto_tls.__all__) == len(set(otto_tls.__all__)) == 33
+def test_all_lists_distinct_names():
+    assert len(otto_tls.__all__) == len(set(otto_tls.__all__)) == 31
 
 
 def test_dir_covers_all():

@@ -222,7 +222,7 @@ class TestConvergence:
         u = res.U
         assert PropagatorResult(u, 8, 0.0, 0.5 + 1e-9).xi == 0.5
         for bad in (0.5 + 2e-9, -1e-300, math.nan):
-            with pytest.raises(DomainError, match="outside"):
+            with pytest.raises(DomainError, match=r"xi must lie in \[0, 1/2\]"):
                 PropagatorResult(u, 8, 0.0, bad)
 
     def test_config_validation(self):

@@ -7,8 +7,7 @@ import pytest
 
 from otto_tls import (CycleFrequencies, CycleInputs, DomainError,
                       IntegratorConfig, adiabatic_efficiency,
-                      cycle_energetics, negative_friction_window,
-                      run_phase_map, run_tau_sweep, xi_sweep,
+                      cycle_energetics, run_phase_map, run_tau_sweep, xi_sweep,
                       zero_friction_pc)
 from otto_tls.sweep import MAX_POINTS, linear_spaced, log_spaced
 from otto_tls.thermo import MODE_ENGINE
@@ -188,8 +187,7 @@ class TestPhaseMap:
 
     def test_sign_agrees_with_window(self):
         for row in self.rows():
-            w = negative_friction_window(row.p_h, FREQS)
-            inside = w[0] < row.p_c <= w[1]
+            inside = zero_friction_pc(row.p_h, FREQS) < row.p_c <= 1.0
             assert (row.w_fric < 0) == inside
 
     def test_zero_line_through_reference_point(self):

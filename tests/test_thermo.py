@@ -14,8 +14,8 @@ from otto_tls import (CycleFrequencies, CycleInputs, Density2, DomainError,
                       energetics_from_states, entropy_production,
                       evolve_expansion, exponent_from_population,
                       gibbs_population, gibbs_state, hot_population_window,
-                      negative_friction_window, projector_excited,
-                      relative_entropy, transition_probability)
+                      relative_entropy, transition_probability,
+                      zero_friction_pc)
 from otto_tls.thermo import MODE_ENGINE
 from otto_tls.verify import stroke_divergence
 
@@ -103,7 +103,7 @@ class TestClosedForms:
         assert en.w_fric == pytest.approx(0.64, abs=1e-14)
         assert en.w_ad == pytest.approx(-0.32, abs=1e-14)
         assert en.w_net == pytest.approx(0.32, abs=1e-14)
-        assert not en.is_engine
+        assert en.mode != MODE_ENGINE
         assert en.eta is None
         assert "w_net>=0" in en.mode
 
@@ -128,7 +128,7 @@ class TestClosedForms:
         eta_ad = adiabatic_efficiency(FREQS)
         for k in range(51):
             en = cycle_energetics(CycleInputs(FREQS, 0.0, 1.0, 0.5 * k / 50))
-            assert en.is_engine
+            assert en.mode == MODE_ENGINE
             assert abs(en.eta - eta_ad) <= 1e-12
 
     @given(populations, populations, xis)
@@ -151,7 +151,7 @@ class TestClosedForms:
     @settings(max_examples=300, deadline=None)
     def test_efficiency_consistency(self, p_c, p_h, xi):
         en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-        if not en.is_engine:
+        if en.mode != MODE_ENGINE:
             assert en.eta is None
             return
         eta_ratio = -en.w_net / en.q_h
@@ -180,10 +180,37 @@ class TestClosedForms:
         # Every stage energy here is a few subnormal ulps, so -w_net/q_h
         # read 0.5; at xi = 0 eta must equal eta_ad = 1 - nu_c/nu_h.
         en = cycle_energetics(CycleInputs(FREQS, 0.0, 5e-324, 0.0))
-        assert en.is_engine
+        assert en.mode == MODE_ENGINE
         assert -en.w_net / en.q_h == 0.5
         assert en.eta == pytest.approx(adiabatic_efficiency(FREQS),
                                        abs=1e-15)
+
+    @pytest.mark.parametrize("xi, w_fric", [(0.5, 1.35e308), (0.0, 0.0)])
+    def test_friction_work_near_the_float_maximum(self, xi, w_fric):
+        # The bracket nu_h + nu_c = 2.7e308 overflows: xi times it read inf,
+        # and NaN at xi = 0, where the friction work is 1.35e308 and 0.
+        freqs = CycleFrequencies(1e308, 1.7e308)
+        en = cycle_energetics(CycleInputs(freqs, 0.0, 0.0, xi))
+        assert en.w_fric == en.w_net == pytest.approx(w_fric, rel=1e-15)
+
+    def test_friction_work_keeps_its_bits_where_it_was_finite(self):
+        # Subnormal frequencies and xi included, up to the float maximum.
+        rng = random.Random(45)
+        for _ in range(20000):
+            nu_c, nu_h = sorted(10.0 ** rng.uniform(-323.0, 308.0)
+                                for _ in range(2))
+            if not 0.0 < nu_c < nu_h:
+                continue
+            p_c, p_h = rng.random(), rng.random()
+            xi = rng.choice([rng.uniform(0.0, 0.5),
+                             10.0 ** rng.uniform(-323.0, -0.31)])
+            old = xi * (nu_h * (1.0 - 2.0 * p_c) + nu_c * (1.0 - 2.0 * p_h))
+            en = cycle_energetics(CycleInputs(CycleFrequencies(nu_c, nu_h),
+                                              p_c, p_h, xi))
+            if math.isfinite(old):
+                assert en.w_fric.hex() == old.hex()
+            else:
+                assert math.isfinite(en.w_fric) or abs(xi * nu_h) > 1e307
 
     @given(st.floats(min_value=0.01, max_value=0.49),
            st.floats(min_value=0.01, max_value=0.49), xis)
@@ -259,8 +286,8 @@ class TestOracleEquivalence:
             p_c = rng.uniform(0.0, 1.0)
             p_h = rng.uniform(0.0, 1.0)
             u = random_unitary(rng)
-            h_c = FREQS.nu_c * to_numpy(projector_excited("x"))
-            h_h = FREQS.nu_h * to_numpy(projector_excited("y"))
+            h_c = FREQS.nu_c * to_numpy(gibbs_state(1.0, "x"))
+            h_h = FREQS.nu_h * to_numpy(gibbs_state(1.0, "y"))
             rho1 = gibbs_state(p_c, "x")
             rho3 = gibbs_state(p_h, "y")
             e1 = trace(h_c, rho1)
@@ -459,22 +486,21 @@ class TestFrictionFromDivergence:
 
 
 class TestWindows:
+    # The p_c window is (zero_friction_pc(p_h), 1].
     def test_reference_window_value(self):
-        w = negative_friction_window(0.8, FREQS)
-        assert w[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert w[1] == 1.0
+        assert zero_friction_pc(0.8, FREQS) == pytest.approx(1.0 / 3.0,
+                                                             abs=1e-12)
 
     def test_full_inversion(self):
-        w = negative_friction_window(1.0, FREQS)
-        assert w[0] == pytest.approx(2.0 / 9.0, abs=1e-12)
+        assert zero_friction_pc(1.0, FREQS) == pytest.approx(2.0 / 9.0,
+                                                             abs=1e-12)
 
     def test_no_hot_inversion_window_above_half(self):
         # Without an inverted hot reservoir, negative friction needs an
         # inverted cold one: the window starts at or above 1/2.
-        assert negative_friction_window(0.5, FREQS) == (0.5, 1.0)
-        w = negative_friction_window(0.3, FREQS)
-        assert w[0] == pytest.approx(0.5 * (1 + 0.4 * 2 / 3.6), abs=1e-12)
-        assert w[1] == 1.0
+        assert zero_friction_pc(0.5, FREQS) == 0.5
+        assert zero_friction_pc(0.3, FREQS) == pytest.approx(
+            0.5 * (1 + 0.4 * 2 / 3.6), abs=1e-12)
 
     def test_hot_window_companion(self):
         w = hot_population_window(0.4, FREQS)
@@ -500,10 +526,10 @@ class TestWindows:
             p_c = rng.uniform(0.01, 0.999)
             xi = rng.uniform(1e-6, 0.5)
             en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-            w = negative_friction_window(p_h, FREQS)
-            assert (w[0] < 0.5) == (p_h > 0.5)
+            p_c_star = zero_friction_pc(p_h, FREQS)
+            assert (p_c_star < 0.5) == (p_h > 0.5)
             w_h = hot_population_window(p_c, FREQS)
-            for inside in (w[0] < p_c <= w[1],
+            for inside in (p_c_star < p_c <= 1.0,
                            w_h is not None and w_h[0] < p_h <= w_h[1]):
                 if inside:
                     assert en.w_fric < 0
@@ -531,7 +557,7 @@ class TestEfficiencyEnhancement:
         eta_ad = adiabatic_efficiency(FREQS)
         for p_c, p_h, sign in [(0.4, 0.8, 1), (0.3, 0.7, 0), (0.2, 0.4, -1)]:
             en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, 0.01))
-            assert en.is_engine
+            assert en.mode == MODE_ENGINE
             assert _sign(en.eta - eta_ad) == sign
 
     def test_eta_above_adiabatic_when_condition_holds(self):
@@ -542,7 +568,7 @@ class TestEfficiencyEnhancement:
             p_h = rng.uniform(1.0 - p_c + 1e-6, 0.99)
             xi = rng.uniform(1e-6, 0.5)
             en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-            if en.is_engine:
+            if en.mode == MODE_ENGINE:
                 assert en.eta > eta_ad
 
     def test_eta_monotone_in_xi_under_condition(self):
@@ -552,7 +578,7 @@ class TestEfficiencyEnhancement:
             for k in range(51):
                 xi = 0.5 * k / 50
                 en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-                if en.is_engine:
+                if en.mode == MODE_ENGINE:
                     etas.append(en.eta)
             assert len(etas) > 10
             assert all(b > a for a, b in zip(etas, etas[1:]))
@@ -577,7 +603,7 @@ class TestEfficiencyEnhancement:
             xi = 0.01 * k
             for _ in range(8):
                 en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-                if en.is_engine:
+                if en.mode == MODE_ENGINE:
                     etas.append(en.eta)
                 xi = math.nextafter(xi, 1.0)
         assert len(etas) > 100
@@ -591,7 +617,7 @@ class TestEfficiencyEnhancement:
         p_c, p_h, xi = 0.752, 0.689504, 0.124
         assert (p_h - p_c) / xi - (1.0 - 2.0 * p_c) == 0.0
         en = cycle_energetics(CycleInputs(FREQS, p_c, p_h, xi))
-        assert en.is_engine
+        assert en.mode == MODE_ENGINE
         assert 1e15 < en.eta < math.inf
 
     @given(unit_interval, unit_interval, xis, xis,
@@ -611,7 +637,7 @@ class TestEfficiencyEnhancement:
         points = []
         for xi in (xi_a, xi_b):
             en = cycle_energetics(CycleInputs(freqs, p_c, p_h, xi))
-            assume(en.is_engine)
+            assume(en.mode == MODE_ENGINE)
             d = p_h - p_c - xi * (1.0 - 2.0 * p_c)
             assert d > 0.0
             scale = max(1.0, abs(en.eta),
@@ -638,5 +664,5 @@ class TestEfficiencyEnhancement:
         for k in range(51):
             xi = 0.5 * k / 50
             en = cycle_energetics(CycleInputs(FREQS, 0.2, 0.4, xi))
-            if en.is_engine:
+            if en.mode == MODE_ENGINE:
                 assert en.eta <= eta_ad

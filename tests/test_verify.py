@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otto_tls import (Density2, DomainError, Hermitian2, IntegratorConfig,
-                      gibbs_state, projector_excited, propagator, verify)
+                      gibbs_state, propagator, verify)
 
 from conftest import to_numpy
 
@@ -18,21 +18,22 @@ populations = st.floats(min_value=1e-6, max_value=1.0 - 1e-6,
 
 
 class TestProjectors:
+    # The excited-state projector of an axis is its Gibbs state at p = 1.
     def test_axis_x(self):
-        assert projector_excited("x") == (0.5, 0.5, 0.5, 0.5)
+        assert gibbs_state(1.0, "x") == (0.5, 0.5, 0.5, 0.5)
 
     def test_axis_y(self):
-        assert projector_excited("y") == (0.5, -0.5j, 0.5j, 0.5)
+        assert gibbs_state(1.0, "y") == (0.5, -0.5j, 0.5j, 0.5)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_idempotent_unit_trace(self, axis):
-        p = Hermitian2(*projector_excited(axis))
+        p = Hermitian2(*gibbs_state(1.0, axis))
         assert ((p @ p) - p).max_abs() < 1e-15
         assert abs(p.a11 + p.a22 - 1.0) < 1e-15
 
     def test_bad_axis(self):
-        with pytest.raises(DomainError):
-            projector_excited("z")
+        with pytest.raises(DomainError, match="axis must be 'x' or 'y'"):
+            gibbs_state(0.3, "z")
 
 
 class TestGibbsState:
@@ -55,7 +56,7 @@ class TestGibbsState:
     def test_energy_expectation(self, p):
         # tr(rho H_c)/h = nu_c * p when rho is thermal on the x axis.
         rho = gibbs_state(p, "x")
-        h_c = 2.0 * to_numpy(projector_excited("x"))
+        h_c = 2.0 * to_numpy(gibbs_state(1.0, "x"))
         e = np.trace(to_numpy(rho) @ h_c).real
         assert e == pytest.approx(2.0 * p, abs=1e-13)
 
